@@ -11,7 +11,7 @@ import numpy as np
 from fiberloc import (
     PolynomialMap,
     circled_norm_geometry,
-    estimate_tube_measure,
+    estimate_tube_grid,
     hyperbola_map,
     tilt_inequality_check,
 )
@@ -22,9 +22,10 @@ print(f"weights {w}: inradius r_K={geom.r_K}, contact point {geom.z0}")
 
 d = np.sqrt(2.0)
 plane = PolynomialMap(2, 1, [[(1.0, [0, 1]), (-d, [0, 0])]], [0.0, d])
-for r in [0.5, 1.0]:
-    ez = estimate_tube_measure(hyperbola_map(), r, 5000, seed=3, norm_weights=w)
-    eh = estimate_tube_measure(plane, r, 5000, seed=4, norm_weights=w)
+r_grid = [0.5, 1.0]
+curved = estimate_tube_grid(hyperbola_map(), r_grid, 5000, seed=3, norm_weights=w)
+flat = estimate_tube_grid(plane, r_grid, 5000, seed=4, norm_weights=w)
+for r, ez, eh in zip(r_grid, curved, flat):
     print(f"r={r}: curved tube {ez.p_hat:.4f} (+-{ez.stderr:.4f})  "
           f"hyperplane tube {eh.p_hat:.4f} (+-{eh.stderr:.4f})")
 

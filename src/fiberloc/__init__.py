@@ -12,7 +12,6 @@ from .errors import (
 from .gaussgeom import (
     BoundedExp,
     CircledGeometry,
-    DiscSpec,
     HalfSpace,
     One,
     SqNorm,
@@ -54,6 +53,7 @@ from .mc import (
     WaistResult,
     center_law_sample,
     confidence_interval,
+    estimate_tube_grid,
     estimate_tube_measure,
     fiber_distances,
     mixture_check,

@@ -221,14 +221,11 @@ def cmd_tube(cfg, out: Path) -> int:
     _require(cfg, "r_grid", "N", "seed")
     weights = cfg.get("weights")
     if weights is not None:
-        rows = []
-        failures = 0
-        for r in cfg["r_grid"]:
-            est = mc.estimate_tube_measure(F, r, cfg["N"], cfg["seed"],
-                                           norm_weights=weights)
-            failures += est.optimizer_failures
-            rows.append({"r": est.r, "p_hat": est.p_hat, "stderr": est.stderr,
-                         "baseline": None, "margin": None, "verdict": "n/a"})
+        ests = mc.estimate_tube_grid(F, cfg["r_grid"], cfg["N"], cfg["seed"],
+                                     norm_weights=weights)
+        rows = [{"r": e.r, "p_hat": e.p_hat, "stderr": e.stderr,
+                 "baseline": None, "margin": None, "verdict": "n/a"} for e in ests]
+        failures = ests[0].optimizer_failures
         passed = True
         distance = None
     else:
@@ -415,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", default="auto",
-                   help="worker hint (accepted for compatibility)")
     p.add_argument("--h", type=float, help="override the step size")
     p.add_argument("--T", type=float, help="override the horizon")
     p.add_argument("--paths", type=int, help="override the path count")
@@ -439,8 +434,6 @@ def main(argv=None) -> int:
     overrides = {"seed": args.seed, "h": args.h, "T": args.T,
                  "n_paths": args.paths, "N": args.samples}
     try:
-        if args.threads != "auto":
-            int(args.threads)
         if args.config:
             cfg = load_config(args.config, overrides)
         else:

@@ -24,15 +24,6 @@ SERIES_MAX_TERMS = 100_000
 # ---------------------------------------------------------------------------
 # Disc and tube measures
 
-@dataclass(frozen=True)
-class DiscSpec:
-    """A Euclidean disc in C^k: |z - v| <= radius with |v| = center_norm."""
-
-    k: int
-    center_norm: float
-    radius: float
-
-
 def _central_disc_cdf(k: int, x: float) -> float:
     # P(chi^2_{2k} <= x) = 1 - e^{-x/2} sum_{j<k} (x/2)^j / j!
     s = 0.0
@@ -78,10 +69,6 @@ def disc_measure(k: int, center_norm: float, radius: float) -> float:
         C -= term
         total += w * C
     return min(max(total, 0.0), 1.0)
-
-
-def disc_measure_spec(spec: DiscSpec) -> float:
-    return disc_measure(spec.k, spec.center_norm, spec.radius)
 
 
 def affine_tube_measure(n: int, k: int, d: float, r: float) -> float:

@@ -10,24 +10,23 @@ subspace of the map (rotated by B^{-1/2}) and Sigma = B^{-1/2} pi / sqrt(n).
 The exact process keeps the center on the zero set; the discretization
 leaks off at O(h) and is re-projected by Gauss-Newton after every step.
 
-All heavy lifting is done by a batched engine (run_paths) that advances a
-stack of independent paths in lockstep; run_path and step are thin
-single-path wrappers over the same arithmetic.
+One kernel (_advance) performs the projected Euler-Maruyama step for a
+stack of paths. The batched engine run_paths drives it for every live
+path in lockstep; step is a one-path wrapper over the same kernel, and
+run_path a one-path wrapper over run_paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import polymap
-from .errors import PathAbort, StateError, ValidationError
+from .errors import PathAbort, SingularityError, StateError, ValidationError
 from .linalg import hermitianize, stacked_sqrt_pair
-from .polymap import PolynomialMap, eval_jacobian, project_batch, residual_norm
+from .polymap import (FIBER_TOL, RANK_TOL, PolynomialMap, eval_jacobian,
+                      project_batch, residual_norm)
 
-FIBER_TOL = 1e-10
-RANK_TOL = 1e-8
 DEFAULT_RANK_TRUNCATION = 1e-2
 _RNG_BLOCK = 512
 
@@ -218,49 +217,72 @@ def sigma_of_state(state: LocalizationState, F: PolynomialMap,
         raise StateError(f"center is off the fiber: residual {res:.3e} > {fiber_tol:.1e}")
     Sigma, _, _, _, singular = _sigma_pieces(F, state.a[None, :], state.B[None], rank_tol)
     if singular[0]:
-        from .errors import SingularityError
         raise SingularityError("Jacobian rank-deficient at the path center")
     return Sigma[0]
 
 
 # ---------------------------------------------------------------------------
-# Single Euler-Maruyama step
+# The Euler-Maruyama step
+
+def _rows(mask: np.ndarray):
+    """Index of the rows where mask holds: a slice, which indexes without
+    a copy, when it holds everywhere (the usual case)."""
+    return slice(None) if mask.all() else np.nonzero(mask)[0]
+
+
+def _advance(F: PolynomialMap, a: np.ndarray, B: np.ndarray, accum: np.ndarray,
+             dW: np.ndarray, h: float, fiber_tol: float, rank_tol: float):
+    """One projected Euler-Maruyama step for a stack of paths.
+
+    Returns (a, B, accum, pre, ok, singular). ok flags the rows that
+    advanced; the first four results hold their new centers, matrices and
+    accumulators, and their residuals before projection. The B-update uses
+    the PSD increment (h/n) B^{1/2} pi B^{1/2}, which matches the exact
+    dynamics and keeps B monotone in floating point. A row that did not
+    advance is flagged singular when its Jacobian lost rank, at the center
+    or during projection; otherwise its projection failed to converge.
+    """
+    n = F.n
+    Sigma, pi, Bh, Bih, singular = _sigma_pieces(F, a, B, rank_tol)
+    live = _rows(~singular)
+    a_pre = a[live] + (Sigma[live] @ dW[live][..., None])[..., 0]
+    pre = np.atleast_1d(residual_norm(F, a_pre))
+    pts, _, conv, sing = project_batch(F, a_pre, tol=fiber_tol)
+    ok = ~singular
+    ok[live] = conv
+    singular[live] = sing
+    done, kept = _rows(ok), _rows(conv)
+    pi, Bh, Bih = pi[done], Bh[done], Bih[done]
+    B_new = hermitianize(B[done] + (h / n) * (Bh @ pi @ Bh))
+    accum_new = hermitianize(accum[done] + (h / n) * (Bih @ pi @ Bih))
+    return pts[kept], B_new, accum_new, pre[kept], ok, singular
+
 
 def step(state: LocalizationState, F: PolynomialMap, h: float,
          dW: np.ndarray, fiber_tol: float = FIBER_TOL,
          rank_tol: float = RANK_TOL) -> LocalizationState:
     """Advance one path by one step of length h with increment dW.
 
-    The B-update uses the PSD increment (h/n) B^{1/2} pi B^{1/2}, which
-    matches the exact dynamics and keeps B monotone in floating point.
+    Raises PathAbort, with the reason run_paths would record, when the
+    path cannot advance.
     """
     if h <= 0:
         raise ValidationError(f"step length must be positive, got {h}")
     res = residual_norm(F, state.a)
     if res > fiber_tol:
         raise StateError(f"center is off the fiber: residual {res:.3e}")
-    n = F.n
-    a = state.a[None, :]
-    B = state.B[None]
-    Sigma, pi, Bh, Bih, singular = _sigma_pieces(F, a, B, rank_tol)
-    if singular[0]:
-        raise PathAbort("Jacobian rank collapse",
-                        {"t": state.t, "reason": "singularity"})
-    a_pre = a + (Sigma @ np.asarray(dW, dtype=complex)[None, :, None])[..., 0]
-    pre_res = float(residual_norm(F, a_pre[0]))
-    pts, resid, conv, sing = project_batch(F, a_pre, tol=fiber_tol)
-    if sing[0] or not conv[0]:
-        reason = "singularity" if sing[0] else "projection failure"
-        raise PathAbort(reason, {"t": state.t, "reason": reason,
-                                 "residual": float(resid[0])})
-    B_new = hermitianize(B + (h / n) * (Bh @ pi @ Bh))
-    accum = state.sigma_accum + h * (Bih @ pi @ Bih)[0] / n
+    a, B, accum, pre, ok, singular = _advance(
+        F, state.a[None, :], state.B[None], state.sigma_accum[None],
+        np.asarray(dW, dtype=complex)[None, :], h, fiber_tol, rank_tol)
+    if not ok[0]:
+        reason = "singularity" if singular[0] else "projection failure"
+        raise PathAbort(reason, {"t": state.t, "reason": reason})
     return LocalizationState(
         t=state.t + h,
-        a=pts[0],
-        B=B_new[0],
-        sigma_accum=hermitianize(accum),
-        fiber_residual_max=max(state.fiber_residual_max, pre_res),
+        a=a[0],
+        B=B[0],
+        sigma_accum=accum[0],
+        fiber_residual_max=max(state.fiber_residual_max, float(pre[0])),
         stream=state.stream,
     )
 
@@ -338,34 +360,17 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
         buf_pos += 1
 
         act = np.nonzero(~aborted)[0]
-        if act.size:
-            Sigma, pi, Bh, Bih, singular = _sigma_pieces(F, a[act], B[act], rank_tol)
-            if np.any(singular):
-                for i in act[singular]:
-                    aborted[i] = True
-                    reasons[i] = {"t": j * h, "reason": "singularity"}
-                keep = ~singular
-                act = act[keep]
-                Sigma, pi, Bh, Bih = Sigma[keep], pi[keep], Bh[keep], Bih[keep]
-        if act.size:
-            a_pre = a[act] + (Sigma @ dW[act][..., None])[..., 0]
-            pre = np.atleast_1d(residual_norm(F, a_pre))
-            pts, resid, conv, sing = project_batch(F, a_pre, tol=fiber_tol)
-            fail = ~conv
-            if np.any(fail):
-                for i, s in zip(act[fail], sing[fail]):
-                    aborted[i] = True
-                    reasons[i] = {"t": j * h,
-                                  "reason": "singularity" if s else "projection failure"}
-                ok = conv
-                act, pts, pre = act[ok], pts[ok], pre[ok]
-                Sigma, pi, Bh, Bih = Sigma[ok], pi[ok], Bh[ok], Bih[ok]
-            if act.size:
-                a[act] = pts
-                B[act] = hermitianize(B[act] + (h / n) * (Bh @ pi @ Bh))
-                accum[act] = hermitianize(accum[act] + (h / n) * (Bih @ pi @ Bih))
-                res_max[act] = np.maximum(res_max[act], pre)
-                last_pre[act] = pre
+        a_new, B_new, accum_new, pre, ok, singular = _advance(
+            F, a[act], B[act], accum[act], dW[act], h, fiber_tol, rank_tol)
+        if not ok.all():
+            for i, s in zip(act[~ok], singular[~ok]):
+                aborted[i] = True
+                reasons[i] = {"t": j * h,
+                              "reason": "singularity" if s else "projection failure"}
+            act = act[ok]
+        a[act], B[act], accum[act] = a_new, B_new, accum_new
+        res_max[act] = np.maximum(res_max[act], pre)
+        last_pre[act] = pre
 
         if (j + 1) % record_every == 0 or j == n_steps - 1:
             t_now = (j + 1) * h

@@ -4,16 +4,18 @@ the mixture decomposition across many localization paths.
 The tube estimator is one-sided by construction: a sample counts as a hit
 only when the constrained optimizer actually exhibits a feasible point of
 the zero set within the radius, so failures can only undercount. That is
-the safe direction for checking lower bounds on tube measures.
+the safe direction for checking lower bounds on tube measures. One sample
+of distances to the zero set serves the whole radius grid, in the
+Euclidean and the circled norm alike (estimate_tube_grid).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussgeom, localize, polymap
+from . import localize, polymap
 from .errors import ValidationError
 from .gaussgeom import affine_tube_measure, gaussian_expectation
 from .localize import path_rng, run_paths, standard_gaussian, terminal_gaussian
@@ -24,6 +26,9 @@ _TAG_SAMPLES = 2**48
 _TAG_STARTS = 2**48 + 1
 
 DEFAULT_STARTS = 9     # sample projection plus 8 perturbed starts
+# Samples per minimizer batch. Fixed, because the perturbed starts are
+# drawn from one stream that runs on across batches, so distances depend on it.
+_CHUNK = 20000
 
 
 def sample_std_complex(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
@@ -47,8 +52,8 @@ class TubeEstimate:
 
 
 def fiber_distances(F: PolynomialMap, points: np.ndarray, seed: int,
-                    n_starts: int = DEFAULT_STARTS, perturb_scale: float = 1.0,
-                    chunk: int = 20000) -> tuple[np.ndarray, int]:
+                    n_starts: int = DEFAULT_STARTS,
+                    perturb_scale: float = 1.0) -> tuple[np.ndarray, int]:
     """Distance from each point to the zero set of F, by multi-start
     constrained minimization (upper bounds on the true distances).
 
@@ -62,8 +67,8 @@ def fiber_distances(F: PolynomialMap, points: np.ndarray, seed: int,
     rng = path_rng(seed, _TAG_STARTS)
     dist = np.empty(N)
     failures = 0
-    for lo in range(0, N, chunk):
-        blk = pts[lo:lo + chunk]
+    for lo in range(0, N, _CHUNK):
+        blk = pts[lo:lo + _CHUNK]
         m = blk.shape[0]
         starts = np.tile(blk, (n_starts, 1))
         if n_starts > 1:
@@ -78,18 +83,23 @@ def fiber_distances(F: PolynomialMap, points: np.ndarray, seed: int,
     return dist, failures
 
 
-def estimate_tube_measure(F: PolynomialMap, r: float, N: int, seed: int,
-                          norm_weights=None, n_starts: int = DEFAULT_STARTS) -> TubeEstimate:
-    """Monte Carlo estimate of the Gaussian measure of the r-tube around
-    the zero set of F, in the Euclidean norm or the circled norm
-    {|diag(w) z| <= 1}.
+def estimate_tube_grid(F: PolynomialMap, r_grid, N: int, seed: int,
+                       norm_weights=None,
+                       n_starts: int = DEFAULT_STARTS) -> tuple[TubeEstimate, ...]:
+    """Monte Carlo estimates of the Gaussian measure of the r-tube around
+    the zero set of F, one per radius of r_grid (in the given order), in
+    the Euclidean norm or the circled norm {|diag(w) z| <= 1}.
 
-    The circled case transplants everything to the weighted coordinates
-    u = diag(w) z, where the norm is Euclidean again.
+    One sample of N distances serves every radius, so the estimates are
+    monotone in r by construction; the perturbed starts use the scale of
+    the largest radius. The circled case transplants everything to the
+    weighted coordinates u = diag(w) z, where the norm is Euclidean again.
     """
     if N < 1:
         raise ValidationError("sample count must be >= 1")
-    if r < 0:
+    if len(r_grid) == 0:
+        raise ValidationError("empty radius grid")
+    if min(r_grid) < 0:
         raise ValidationError("radius must be nonnegative")
     rng = path_rng(seed, _TAG_SAMPLES)
     samples = sample_std_complex(rng, N, F.n)
@@ -100,13 +110,23 @@ def estimate_tube_measure(F: PolynomialMap, r: float, N: int, seed: int,
         tag = "circled(" + ",".join(f"{x:g}" for x in w) + ")"
     else:
         Fw, pts, tag = F, samples, "euclidean"
-    scale = max(r, 1e-2)
     dist, failures = fiber_distances(Fw, pts, seed, n_starts=n_starts,
-                                     perturb_scale=scale)
-    hits = int(np.sum(dist <= r))
-    p_hat, stderr, _, _ = confidence_interval(hits, N)
-    return TubeEstimate(r=r, p_hat=p_hat, stderr=stderr, n_samples=N,
-                        n_hits=hits, norm_tag=tag, optimizer_failures=failures)
+                                     perturb_scale=max(max(r_grid), 1e-2))
+    estimates = []
+    for r in r_grid:
+        hits = int(np.sum(dist <= r))
+        p_hat, stderr, _, _ = confidence_interval(hits, N)
+        estimates.append(TubeEstimate(r=r, p_hat=p_hat, stderr=stderr, n_samples=N,
+                                      n_hits=hits, norm_tag=tag,
+                                      optimizer_failures=failures))
+    return tuple(estimates)
+
+
+def estimate_tube_measure(F: PolynomialMap, r: float, N: int, seed: int,
+                          norm_weights=None, n_starts: int = DEFAULT_STARTS) -> TubeEstimate:
+    """The one-radius case of estimate_tube_grid."""
+    return estimate_tube_grid(F, [r], N, seed, norm_weights=norm_weights,
+                              n_starts=n_starts)[0]
 
 
 @dataclass(frozen=True)
@@ -133,31 +153,25 @@ def waist_check(F: PolynomialMap, r_grid, N: int, seed: int,
     """Compare the estimated tube measure of the zero set against the
     affine-subspace baseline at the same distance from the origin.
 
-    One set of common samples serves the whole radius grid, so the
-    estimates are monotone in r by construction. Passes when the margin
-    p_hat - baseline is >= -3 stderr at every radius.
+    The estimates come from estimate_tube_grid, so they share one distance
+    sample and are monotone in r. Passes when the margin p_hat - baseline
+    is >= -3 stderr at every radius.
     """
-    r_grid = sorted(float(r) for r in r_grid)
-    if not r_grid:
-        raise ValidationError("empty radius grid")
+    estimates = estimate_tube_grid(F, sorted(float(r) for r in r_grid), N, seed,
+                                   n_starts=n_starts)
     d = distance if distance is not None else polymap.distance_to_origin(F).value
-    rng = path_rng(seed, _TAG_SAMPLES)
-    samples = sample_std_complex(rng, N, F.n)
-    dist, failures = fiber_distances(F, samples, seed, n_starts=n_starts,
-                                     perturb_scale=max(r_grid))
     rows = []
     passed = True
-    for r in r_grid:
-        hits = int(np.sum(dist <= r))
-        p_hat, stderr, _, _ = confidence_interval(hits, N)
-        baseline = affine_tube_measure(F.n, F.k, d, r)
-        margin = p_hat - baseline
-        ok = margin >= -3 * stderr
+    for est in estimates:
+        baseline = affine_tube_measure(F.n, F.k, d, est.r)
+        margin = est.p_hat - baseline
+        ok = margin >= -3 * est.stderr
         passed = passed and ok
-        rows.append(WaistRow(r=r, p_hat=p_hat, stderr=stderr, baseline=baseline,
-                             margin=margin, verdict="pass" if ok else "fail"))
+        rows.append(WaistRow(r=est.r, p_hat=est.p_hat, stderr=est.stderr,
+                             baseline=baseline, margin=margin,
+                             verdict="pass" if ok else "fail"))
     return WaistResult(rows=tuple(rows), passed=passed, distance=d,
-                       optimizer_failures=failures)
+                       optimizer_failures=estimates[0].optimizer_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +262,7 @@ def center_law_sample(F: PolynomialMap, T: float, h: float, n_paths: int,
     live = ~out.aborted
     samples = out.a[live]
     res = np.atleast_1d(residual_norm(F, samples))
-    if np.any(res > localize.FIBER_TOL):
+    if np.any(res > polymap.FIBER_TOL):
         raise ValidationError("a returned center violates the fiber tolerance")
     sq = np.sum(np.abs(samples) ** 2, axis=1)
     return CenterLawResult(

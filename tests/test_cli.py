@@ -160,6 +160,40 @@ def test_tube_circled_norm_rows(tmp_path):
     assert doc["rows"][0]["verdict"] == "n/a"
 
 
+@pytest.mark.parametrize("weights", [None, [1.0, 2.0]])
+def test_tube_empty_r_grid_exits_1(tmp_path, capsys, weights):
+    cfg = {"map": HYPERBOLA, "seed": 3, "r_grid": [], "N": 50}
+    if weights is not None:
+        cfg["weights"] = weights
+    rc = cli.main(["tube", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "e")])
+    assert rc == 1
+    assert "empty radius grid" in read_stderr_payload(capsys)["message"]
+    assert not (tmp_path / "e" / "tube_results.json").exists()
+
+
+def test_tube_circled_grid_makes_one_distance_pass(tmp_path, monkeypatch):
+    from fiberloc import mc
+    calls = []
+    original = mc.fiber_distances
+
+    def counting(F, points, seed, **kwargs):
+        calls.append(len(points))
+        return original(F, points, seed, **kwargs)
+
+    monkeypatch.setattr(mc, "fiber_distances", counting)
+    cfg = {"map": HYPERBOLA, "seed": 3, "r_grid": [0.5, 0.8, 1.0], "N": 100,
+           "weights": [1.0, 2.0]}
+    rc = cli.main(["tube", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "g")])
+    assert rc == 0
+    assert calls == [100]
+    doc = json.loads((tmp_path / "g" / "tube_results.json").read_text())
+    p = [row["p_hat"] for row in doc["rows"]]
+    assert [row["r"] for row in doc["rows"]] == [0.5, 0.8, 1.0]
+    assert p == sorted(p)
+
+
 def test_baseline_table_matches_library(tmp_path):
     from fiberloc import affine_tube_measure
     cfg = {"k": 1, "n": 2, "r_grid": [0.5, 1.0], "d_grid": [0.0, 1.0]}

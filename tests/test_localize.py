@@ -179,6 +179,24 @@ def test_step_keeps_b_monotone():
     st.validate()
 
 
+def test_step_matches_run_paths_bitwise():
+    # step and run_paths share one kernel, so stepping a path by hand along
+    # its own stream reproduces the batched engine bit for bit
+    F = paraboloid_map(3)
+    h, n_steps, seed = 2e-3, 50, 17
+    st = LocalizationState(t=0.0, a=F.base_point.astype(complex),
+                           B=np.eye(3, dtype=complex),
+                           sigma_accum=np.zeros((3, 3), dtype=complex))
+    rng = path_rng(seed, 0)
+    for _ in range(n_steps):
+        st = step(st, F, h, brownian_increment(rng, h, 3))
+    out = run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=1)
+    assert np.array_equal(st.a, out.a[0])
+    assert np.array_equal(st.B, out.B[0])
+    assert np.array_equal(st.sigma_accum, out.sigma_accum[0])
+    assert st.fiber_residual_max == out.fiber_residual_max[0]
+
+
 # ---------------------------------------------------------------------------
 # Whole paths
 

@@ -10,6 +10,7 @@ from fiberloc import (
     center_law_sample,
     confidence_interval,
     disc_measure,
+    estimate_tube_grid,
     estimate_tube_measure,
     hyperbola_map,
     mixture_check,
@@ -98,12 +99,29 @@ def test_tube_estimate_circled_norm_affine_oracle():
     assert abs(est.p_hat - ref) <= 3 * max(est.stderr, 1e-3)
 
 
+def test_tube_grid_shares_one_distance_sample():
+    # one distance sample serves the grid: p_hat is monotone in r, and the
+    # largest radius (whose perturbation scale the grid uses) matches the
+    # one-radius estimate exactly
+    F = hyperbola_map()
+    grid = estimate_tube_grid(F, [0.5, 1.0], N=1500, seed=14, norm_weights=[1.0, 2.0])
+    assert [e.r for e in grid] == [0.5, 1.0]
+    assert grid[0].p_hat <= grid[1].p_hat
+    assert grid[1] == estimate_tube_measure(F, r=1.0, N=1500, seed=14,
+                                            norm_weights=[1.0, 2.0])
+
+
 def test_tube_estimate_rejects_bad_args():
     F = hyperbola_map()
     with pytest.raises(ValidationError):
         estimate_tube_measure(F, r=-1.0, N=100, seed=0)
     with pytest.raises(ValidationError):
         estimate_tube_measure(F, r=1.0, N=0, seed=0)
+    for weights in (None, [1.0, 2.0]):
+        with pytest.raises(ValidationError):
+            estimate_tube_grid(F, [], N=100, seed=0, norm_weights=weights)
+        with pytest.raises(ValidationError):
+            estimate_tube_grid(F, [0.5, -1.0], N=100, seed=0, norm_weights=weights)
 
 
 # ---------------------------------------------------------------------------
