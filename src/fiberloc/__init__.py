@@ -22,14 +22,7 @@ from .gaussgeom import (
     gaussian_expectation,
     tilt_inequality_check,
 )
-from .linalg import (
-    hermitian_eig,
-    hermitianize,
-    log_det,
-    proj_with_kernel,
-    psd_inv_sqrt,
-    psd_sqrt,
-)
+from .linalg import hermitianize
 from .localize import (
     BatchResult,
     ComplexGaussian,

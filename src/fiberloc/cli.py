@@ -92,28 +92,37 @@ CONFIG_SCHEMA = {
 }
 
 
-def _check_r_grid(cfg):
-    grid = cfg.get("r_grid")
-    if grid is not None and any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValidationError("r_grid must be strictly increasing")
+def load_config(path: str | None, overrides: dict) -> dict:
+    """The config file at path (none: an empty config), with the non-None
+    overrides merged in, checked against CONFIG_SCHEMA as a whole.
 
-
-def load_config(path: str, overrides: dict) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    A config is hashed and echoed as JSON, so a NaN or an infinity anywhere
+    in it is refused too.
+    """
+    cfg = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise ValidationError(f"cannot read config: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    if isinstance(cfg, dict):
+        cfg.update({k: v for k, v in overrides.items() if v is not None})
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ValidationError(
             f"config schema violation at {exc.json_path}: {exc.message}"
         ) from exc
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    _check_r_grid(cfg)
+    try:
+        json.dumps(cfg, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"config holds a non-finite number: {exc}") from exc
+    grid = cfg.get("r_grid")
+    if grid is not None and any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError("r_grid must be strictly increasing")
     return cfg
 
 
@@ -208,8 +217,8 @@ def cmd_localize(cfg, out: Path) -> int:
         },
     }
     _write_json(out / "localize_summary.json", summary)
-    ok = (summary["invariants"]["max_post_projection_residual"] <= 1e-10
-          and summary["invariants"]["min_lambda_min_B"] >= 1 - 1e-8
+    ok = (summary["invariants"]["max_post_projection_residual"] <= polymap.FIBER_TOL
+          and summary["invariants"]["min_lambda_min_B"] >= localize.LAMBDA_MIN_FLOOR
           and trace_ok)
     if res.n_aborted == n_paths:
         return EXIT_NUMERICAL
@@ -371,8 +380,9 @@ def cmd_selftest(cfg, out: Path) -> int:
 
     F = polymap.paraboloid_map()
     res = localize.run_paths(F, 1.0, 1e-3, seed, 8)
-    checks["fiber_confinement"] = bool(res.record_post_residual.max() <= 1e-10)
-    checks["matrix_lower_bound"] = bool(res.record_lambda_min.min() >= 1 - 1e-8)
+    checks["fiber_confinement"] = bool(res.record_post_residual.max() <= polymap.FIBER_TOL)
+    checks["matrix_lower_bound"] = bool(
+        res.record_lambda_min.min() >= localize.LAMBDA_MIN_FLOOR)
     checks["trace_bound"] = bool(np.all(
         res.record_trace <= F.n * np.exp(res.record_t)[:, None] * (1 + 1e-6)))
     checks["no_aborts"] = res.n_aborted == 0
@@ -434,11 +444,7 @@ def main(argv=None) -> int:
     overrides = {"seed": args.seed, "h": args.h, "T": args.T,
                  "n_paths": args.paths, "N": args.samples}
     try:
-        if args.config:
-            cfg = load_config(args.config, overrides)
-        else:
-            cfg = {k: v for k, v in overrides.items() if v is not None}
-            _check_r_grid(cfg)
+        cfg = load_config(args.config, overrides)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out)

@@ -19,6 +19,9 @@ from .localize import ComplexGaussian
 
 SERIES_TAIL = 1e-14
 SERIES_MAX_TERMS = 100_000
+# The off-center series starts from exp(-d^2/2) and exp(-r^2/2); past this
+# exponent they leave the normal float range and the sum loses its value.
+SERIES_MAX_EXPONENT = -math.log(np.finfo(float).tiny)     # 708.39...
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +43,9 @@ def disc_measure(k: int, center_norm: float, radius: float) -> float:
 
     Central case is the exact closed form; the off-center case is the
     Poisson mixture over central terms, truncated once the remaining
-    Poisson mass drops below 1e-14.
+    Poisson mass drops below 1e-14. The off-center case needs
+    center_norm^2 / 2 and radius^2 / 2 at most SERIES_MAX_EXPONENT (both
+    at most about 37.64) and raises DomainError beyond.
     """
     if k < 1:
         raise ValidationError(f"complex dimension must be >= 1, got {k}")
@@ -52,6 +57,11 @@ def disc_measure(k: int, center_norm: float, radius: float) -> float:
     if center_norm == 0:
         return _central_disc_cdf(k, x)
     c = center_norm * center_norm / 2          # Poisson mean
+    if max(c, x / 2) > SERIES_MAX_EXPONENT:
+        raise DomainError(
+            f"disc_measure({k}, {center_norm}, {radius}): the series underflows "
+            f"once center_norm or radius exceeds {math.sqrt(2 * SERIES_MAX_EXPONENT):.4f}"
+        )
     w = math.exp(-c)
     cumw = w
     # term = e^{-x/2} (x/2)^{k-1} / (k-1)! ; C = central cdf with k terms

@@ -1,19 +1,15 @@
-"""Dense complex Hermitian linear algebra.
-
-All matrices here are small (n <= 16 or so), so everything goes through
-direct eigendecompositions. Inputs are symmetrized on entry to keep the
-solvers on the self-adjoint path.
+"""Dense complex Hermitian linear algebra: the Hermitian part of a matrix,
+a Hermitian check for user input, and the stacked square-root pair the
+path engine uses. All matrices here are small (n <= 16 or so).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-HERMITIAN_RTOL = 1e-12
-ORTHONORMAL_TOL = 1e-12
-PSD_NEG_TOL = 1e-10
+from .errors import ValidationError
 
-from .errors import DomainError, ValidationError
+HERMITIAN_RTOL = 1e-12
 
 
 def hermitianize(A: np.ndarray) -> np.ndarray:
@@ -37,76 +33,6 @@ def check_hermitian(A: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
             f"matrix is not Hermitian: asymmetry {dev:.3e} exceeds {rtol:.1e} relative"
         )
     return hermitianize(A)
-
-
-def hermitian_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary basis U) with A = U diag(w) U^*.
-    """
-    A = check_hermitian(A)
-    w, U = np.linalg.eigh(A)
-    return w, U
-
-
-def psd_sqrt(A: np.ndarray, neg_tol: float = PSD_NEG_TOL) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S = A.
-
-    Eigenvalues below -neg_tol (relative to the largest) raise DomainError;
-    small negative values from roundoff are clipped to zero.
-    """
-    w, U = hermitian_eig(A)
-    scale = max(abs(w[-1]), 1.0) if w.size else 1.0
-    if w.size and w[0] < -neg_tol * scale:
-        raise DomainError(f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
-    s = np.sqrt(np.clip(w, 0.0, None))
-    return hermitianize((U * s) @ U.conj().T)
-
-
-def psd_inv_sqrt(A: np.ndarray, neg_tol: float = PSD_NEG_TOL) -> np.ndarray:
-    """Hermitian inverse square root of a positive-definite matrix."""
-    w, U = hermitian_eig(A)
-    scale = max(abs(w[-1]), 1.0) if w.size else 1.0
-    if w.size == 0 or w[0] <= neg_tol * scale:
-        raise DomainError(
-            f"matrix is not positive-definite: smallest eigenvalue {w[0] if w.size else 'n/a'}"
-        )
-    return hermitianize((U / np.sqrt(w)) @ U.conj().T)
-
-
-def check_orthonormal(Q: np.ndarray, n: int | None = None,
-                      tol: float = ORTHONORMAL_TOL) -> np.ndarray:
-    """Validate that the columns of Q are orthonormal vectors in C^n."""
-    Q = np.asarray(Q, dtype=complex)
-    if Q.ndim != 2:
-        raise ValidationError(f"expected a 2-d array of columns, got shape {Q.shape}")
-    if n is not None and Q.shape[0] != n:
-        raise ValidationError(f"basis lives in C^{Q.shape[0]}, expected C^{n}")
-    d = Q.shape[1]
-    if d > Q.shape[0]:
-        raise ValidationError(f"{d} vectors cannot be independent in C^{Q.shape[0]}")
-    gram = Q.conj().T @ Q
-    if d and np.linalg.norm(gram - np.eye(d)) > tol * max(1.0, d):
-        raise ValidationError("columns are not orthonormal")
-    return Q
-
-
-def proj_with_kernel(Q: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Orthogonal projection pi = Id - Q Q^* whose kernel is span(Q).
-
-    Q holds orthonormal columns; an empty basis (shape (n, 0)) yields Id.
-    """
-    Q = check_orthonormal(Q, n=n)
-    m = Q.shape[0]
-    return hermitianize(np.eye(m) - Q @ Q.conj().T)
-
-
-def log_det(B: np.ndarray) -> float:
-    """log det of a positive-definite Hermitian matrix, via eigenvalues."""
-    w, _ = hermitian_eig(B)
-    if w.size == 0 or w[0] <= 0:
-        raise DomainError("log_det requires a positive-definite matrix")
-    return float(np.sum(np.log(w)))
 
 
 # ---------------------------------------------------------------------------

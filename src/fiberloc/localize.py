@@ -28,6 +28,9 @@ from .polymap import (FIBER_TOL, RANK_TOL, PolynomialMap, eval_jacobian,
                       project_batch, residual_norm)
 
 DEFAULT_RANK_TRUNCATION = 1e-2
+# B starts at Id and grows by PSD increments, so lambda_min(B) >= 1; the
+# floor allows for rounding.
+LAMBDA_MIN_FLOOR = 1 - 1e-8
 _RNG_BLOCK = 512
 
 
@@ -94,8 +97,8 @@ class LocalizationState:
     def validate(self, n: int | None = None) -> None:
         n = n if n is not None else self.a.shape[0]
         w = np.linalg.eigvalsh(self.B)
-        if w[0] < 1 - 1e-8:
-            raise StateError(f"lambda_min(B) = {w[0]} < 1 - 1e-8")
+        if w[0] < LAMBDA_MIN_FLOOR:
+            raise StateError(f"lambda_min(B) = {w[0]} < {LAMBDA_MIN_FLOOR}")
         if np.trace(self.B).real > n * np.exp(self.t) * (1 + 1e-6):
             raise StateError("trace bound Tr B <= n e^t violated")
         g = np.linalg.eigvalsh(hermitianize(self.sigma_accum))
@@ -178,23 +181,21 @@ def _increment_block(rng: np.random.Generator, h: float, n: int, m: int) -> np.n
 # ---------------------------------------------------------------------------
 # The diffusion coefficient
 
-def _sigma_pieces(F: PolynomialMap, a: np.ndarray, B: np.ndarray,
-                  rank_tol: float = RANK_TOL):
-    """Batched diffusion data at centers a with matrices B.
+def _sigma_pieces(F: PolynomialMap, a: np.ndarray, B: np.ndarray):
+    """Batched diffusion data at centers a (P, n) with matrices B (P, n, n).
 
     Returns (Sigma, pi, Bh, Bih, singular) where pi is the projection whose
     kernel is the B^{-1/2}-rotated gradient subspace, Bh/Bih the square
-    root pair of B, and singular flags paths with a rank-deficient Jacobian.
+    root pair of B, and singular flags paths whose Jacobian has sigma_min
+    below RANK_TOL.
     """
     n = F.n
     Bh, Bih = stacked_sqrt_pair(B)
     J = eval_jacobian(F, a)
-    if J.ndim == 2:
-        J = J[None]
     Jh = np.conj(np.swapaxes(J, -1, -2))
     G = J @ Jh
     gmin = np.linalg.eigvalsh(G)[:, 0]
-    singular = gmin < rank_tol**2
+    singular = gmin < RANK_TOL**2
     Q, _ = np.linalg.qr(Jh)
     Ht, _ = np.linalg.qr(Bih @ Q)
     Hth = np.conj(np.swapaxes(Ht, -1, -2))
@@ -204,18 +205,17 @@ def _sigma_pieces(F: PolynomialMap, a: np.ndarray, B: np.ndarray,
     return Sigma, pi, Bh, Bih, singular
 
 
-def sigma_of_state(state: LocalizationState, F: PolynomialMap,
-                   fiber_tol: float = FIBER_TOL,
-                   rank_tol: float = RANK_TOL) -> np.ndarray:
+def sigma_of_state(state: LocalizationState, F: PolynomialMap) -> np.ndarray:
     """Diffusion matrix Sigma = B^{-1/2} pi / sqrt(n) at the current state.
 
-    Requires the center to sit on the zero set: B^{1/2} Sigma is then the
-    projection pi / sqrt(n), so |B^{1/2} Sigma|_HS = sqrt((n-k)/n) <= 1.
+    Requires the center to sit on the zero set (residual <= FIBER_TOL):
+    B^{1/2} Sigma is then the projection pi / sqrt(n), so
+    |B^{1/2} Sigma|_HS = sqrt((n-k)/n) <= 1.
     """
     res = residual_norm(F, state.a)
-    if res > fiber_tol:
-        raise StateError(f"center is off the fiber: residual {res:.3e} > {fiber_tol:.1e}")
-    Sigma, _, _, _, singular = _sigma_pieces(F, state.a[None, :], state.B[None], rank_tol)
+    if res > FIBER_TOL:
+        raise StateError(f"center is off the fiber: residual {res:.3e} > {FIBER_TOL:.1e}")
+    Sigma, _, _, _, singular = _sigma_pieces(F, state.a[None, :], state.B[None])
     if singular[0]:
         raise SingularityError("Jacobian rank-deficient at the path center")
     return Sigma[0]
@@ -231,7 +231,7 @@ def _rows(mask: np.ndarray):
 
 
 def _advance(F: PolynomialMap, a: np.ndarray, B: np.ndarray, accum: np.ndarray,
-             dW: np.ndarray, h: float, fiber_tol: float, rank_tol: float):
+             dW: np.ndarray, h: float):
     """One projected Euler-Maruyama step for a stack of paths.
 
     Returns (a, B, accum, pre, ok, singular). ok flags the rows that
@@ -243,11 +243,11 @@ def _advance(F: PolynomialMap, a: np.ndarray, B: np.ndarray, accum: np.ndarray,
     or during projection; otherwise its projection failed to converge.
     """
     n = F.n
-    Sigma, pi, Bh, Bih, singular = _sigma_pieces(F, a, B, rank_tol)
+    Sigma, pi, Bh, Bih, singular = _sigma_pieces(F, a, B)
     live = _rows(~singular)
     a_pre = a[live] + (Sigma[live] @ dW[live][..., None])[..., 0]
     pre = np.atleast_1d(residual_norm(F, a_pre))
-    pts, _, conv, sing = project_batch(F, a_pre, tol=fiber_tol)
+    pts, _, conv, sing = project_batch(F, a_pre)
     ok = ~singular
     ok[live] = conv
     singular[live] = sing
@@ -259,8 +259,7 @@ def _advance(F: PolynomialMap, a: np.ndarray, B: np.ndarray, accum: np.ndarray,
 
 
 def step(state: LocalizationState, F: PolynomialMap, h: float,
-         dW: np.ndarray, fiber_tol: float = FIBER_TOL,
-         rank_tol: float = RANK_TOL) -> LocalizationState:
+         dW: np.ndarray) -> LocalizationState:
     """Advance one path by one step of length h with increment dW.
 
     Raises PathAbort, with the reason run_paths would record, when the
@@ -269,11 +268,11 @@ def step(state: LocalizationState, F: PolynomialMap, h: float,
     if h <= 0:
         raise ValidationError(f"step length must be positive, got {h}")
     res = residual_norm(F, state.a)
-    if res > fiber_tol:
+    if res > FIBER_TOL:
         raise StateError(f"center is off the fiber: residual {res:.3e}")
     a, B, accum, pre, ok, singular = _advance(
         F, state.a[None, :], state.B[None], state.sigma_accum[None],
-        np.asarray(dW, dtype=complex)[None, :], h, fiber_tol, rank_tol)
+        np.asarray(dW, dtype=complex)[None, :], h)
     if not ok[0]:
         reason = "singularity" if singular[0] else "projection failure"
         raise PathAbort(reason, {"t": state.t, "reason": reason})
@@ -322,8 +321,7 @@ class BatchResult:
 
 
 def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
-              record_every: int | None = None, fiber_tol: float = FIBER_TOL,
-              rank_tol: float = RANK_TOL) -> BatchResult:
+              record_every: int | None = None) -> BatchResult:
     """Simulate n_paths independent paths from the base point up to time T.
 
     Deterministic given (seed, h, T, n_paths): path i consumes only the
@@ -361,7 +359,7 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
 
         act = np.nonzero(~aborted)[0]
         a_new, B_new, accum_new, pre, ok, singular = _advance(
-            F, a[act], B[act], accum[act], dW[act], h, fiber_tol, rank_tol)
+            F, a[act], B[act], accum[act], dW[act], h)
         if not ok.all():
             for i, s in zip(act[~ok], singular[~ok]):
                 aborted[i] = True
@@ -402,15 +400,14 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
 
 
 def run_path(F: PolynomialMap, T: float, h: float, seed: int,
-             record_every: int | None = None,
-             fiber_tol: float = FIBER_TOL) -> tuple[LocalizationState, np.ndarray]:
+             record_every: int | None = None) -> tuple[LocalizationState, np.ndarray]:
     """Simulate one path; returns the terminal state and a diagnostics table.
 
     Diagnostics columns: t, fiber_residual (pre-projection), lambda_min(B),
     lambda_{k+1}(B), Tr(B), ||sigma_accum - (Id - B^{-1})||.
     Raises PathAbort with partial diagnostics if the path cannot continue.
     """
-    out = run_paths(F, T, h, seed, 1, record_every=record_every, fiber_tol=fiber_tol)
+    out = run_paths(F, T, h, seed, 1, record_every=record_every)
     diag = np.column_stack([
         out.record_t,
         out.record_pre_residual[:, 0],

@@ -253,7 +253,7 @@ def center_law_sample(F: PolynomialMap, T: float, h: float, n_paths: int,
                       seed: int) -> CenterLawResult:
     """Sample the terminal centers a_T over independent paths.
 
-    Every returned sample satisfies |f(a_T)| <= 1e-10 (enforced). Summary
+    Every returned sample satisfies |f(a_T)| <= FIBER_TOL (enforced). Summary
     moments support comparison against the standard complex Gaussian on
     linear fibers.
     """

@@ -170,18 +170,18 @@ def residual_norm(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
     return float(r[0]) if v.ndim == 1 else r
 
 
-def gradient_subspace(F: PolynomialMap, z: np.ndarray,
-                      rank_tol: float = RANK_TOL) -> np.ndarray:
+def gradient_subspace(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
     """Orthonormal basis (n, k) of span{(grad f_j(z))^*}.
 
     This is the subspace the diffusion must annihilate to conserve f along
-    a path. Raises SingularityError on Jacobian rank collapse.
+    a path. Raises SingularityError on Jacobian rank collapse (sigma_min
+    below RANK_TOL).
     """
     J = eval_jacobian(F, z)
     if J.ndim != 2:
         raise ValidationError("gradient_subspace takes a single point")
     smin = np.linalg.svd(J, compute_uv=False)[-1]
-    if smin < rank_tol:
+    if smin < RANK_TOL:
         raise SingularityError(
             f"Jacobian rank-deficient (sigma_min={smin:.3e}); near a singular point"
         )
@@ -192,62 +192,57 @@ def gradient_subspace(F: PolynomialMap, z: np.ndarray,
 # ---------------------------------------------------------------------------
 # Gauss-Newton projection
 
-def project_batch(F: PolynomialMap, z: np.ndarray, tol: float = FIBER_TOL,
-                  max_iter: int = 50, rank_tol: float = RANK_TOL):
+def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
     """Gauss-Newton projection of a stack of points onto the zero set.
 
     Iterates z <- z - J^* (J J^*)^{-1} f(z) on the points whose residual
-    still exceeds tol. Returns (points, residuals, converged, singular)
-    where the two masks flag per-point failure modes.
+    still exceeds FIBER_TOL, for at most max_iter iterations. A point whose
+    Jacobian has sigma_min below RANK_TOL stops as singular. Returns
+    (points, residuals, converged, singular) where the two masks flag
+    per-point failure modes.
     """
     pts = np.array(z, dtype=complex, copy=True)
-    P = pts.shape[0]
-    res = residual_norm(F, pts)
-    res = np.atleast_1d(res)
-    singular = np.zeros(P, dtype=bool)
-    active = res > tol
+    fv = eval_map(F, pts)
+    res = np.linalg.norm(fv, axis=1)
+    singular = np.zeros(pts.shape[0], dtype=bool)
+    active = res > FIBER_TOL
     for _ in range(max_iter):
         if not np.any(active):
             break
         idx = np.nonzero(active)[0]
-        zi = pts[idx]
-        fv = np.atleast_2d(eval_map(F, zi))
+        zi, fi = pts[idx], fv[idx]
         J = eval_jacobian(F, zi)
-        if J.ndim == 2:
-            J = J[None]
         G = J @ np.conj(np.swapaxes(J, -1, -2))
         gmin = np.linalg.eigvalsh(G)[:, 0]
-        bad = gmin < rank_tol**2
+        bad = gmin < RANK_TOL**2
         if np.any(bad):
             singular[idx[bad]] = True
             active[idx[bad]] = False
             good = ~bad
-            idx, zi, fv, J, G = idx[good], zi[good], fv[good], J[good], G[good]
+            idx, zi, fi, J, G = idx[good], zi[good], fi[good], J[good], G[good]
             if idx.size == 0:
                 continue
-        s = np.linalg.solve(G, fv[..., None])
+        s = np.linalg.solve(G, fi[..., None])
         step = (np.conj(np.swapaxes(J, -1, -2)) @ s)[..., 0]
         pts[idx] = zi - step
-        r = np.atleast_1d(residual_norm(F, pts[idx]))
+        fv[idx] = eval_map(F, pts[idx])
+        r = np.linalg.norm(fv[idx], axis=1)
         res[idx] = r
-        active[idx] = r > tol
+        active[idx] = r > FIBER_TOL
     converged = ~active & ~singular
     return pts, res, converged, singular
 
 
-def project_to_fiber(F: PolynomialMap, z: np.ndarray, tol: float = FIBER_TOL,
-                     max_iter: int = 50) -> FiberPoint:
-    """Project a single point onto the zero set of F."""
+def project_to_fiber(F: PolynomialMap, z: np.ndarray) -> FiberPoint:
+    """Project a single point onto the zero set of F (residual <= FIBER_TOL)."""
     pts, single = _as_points(z, F.n)
     if not single:
         raise ValidationError("project_to_fiber takes a single point")
-    out, res, conv, sing = project_batch(F, pts, tol=tol, max_iter=max_iter)
+    out, res, conv, sing = project_batch(F, pts)
     if sing[0]:
         raise SingularityError("Jacobian rank collapse during projection")
     if not conv[0]:
-        raise ProjectionError(
-            f"no convergence in {max_iter} iterations (residual {res[0]:.3e})"
-        )
+        raise ProjectionError(f"no convergence (residual {res[0]:.3e})")
     return FiberPoint(point=out[0], residual=float(res[0]))
 
 
@@ -264,9 +259,14 @@ class DistanceResult:
     n_starts_converged: int
 
 
+# Descent iterations of minimize_fiber_distance, and the Gauss-Newton
+# iterations of each re-projection.
+_DESCENT_ITER = 60
+_DESCENT_GN_ITER = 30
+
+
 def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
-                            starts: np.ndarray, tol: float = FIBER_TOL,
-                            max_iter: int = 60, gn_iter: int = 30):
+                            starts: np.ndarray):
     """Locally minimize |w - target| subject to f(w) = 0 from given starts.
 
     targets and starts are stacks of the same length. Projected gradient
@@ -275,23 +275,21 @@ def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
     feasible.
     """
     tgt = np.atleast_2d(np.asarray(targets, dtype=complex))
-    w, res, conv, _ = project_batch(F, starts, tol=tol, max_iter=gn_iter)
+    w, res, conv, _ = project_batch(F, starts, max_iter=_DESCENT_GN_ITER)
     ok = conv.copy()
     dist = np.where(ok, np.linalg.norm(w - tgt, axis=1), np.inf)
     eta = np.full(w.shape[0], 0.5)
-    for _ in range(max_iter):
+    for _ in range(_DESCENT_ITER):
         idx = np.nonzero(ok & (eta > 1e-6))[0]
         if idx.size == 0:
             break
         zi = w[idx]
         J = eval_jacobian(F, zi)
-        if J.ndim == 2:
-            J = J[None]
         Q, _ = np.linalg.qr(np.conj(np.swapaxes(J, -1, -2)))
         g = zi - tgt[idx]
         tang = g - (Q @ (np.conj(np.swapaxes(Q, -1, -2)) @ g[..., None]))[..., 0]
         trial = zi - eta[idx, None] * tang
-        cand, cres, cconv, _ = project_batch(F, trial, tol=tol, max_iter=gn_iter)
+        cand, cres, cconv, _ = project_batch(F, trial, max_iter=_DESCENT_GN_ITER)
         cdist = np.where(cconv, np.linalg.norm(cand - tgt[idx], axis=1), np.inf)
         better = cdist < dist[idx] - 1e-14
         imp = idx[better]
@@ -301,22 +299,18 @@ def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
     return w, dist, ok
 
 
-def distance_to_origin(F: PolynomialMap, starts=None, n_starts: int = 16,
-                       seed: int = 0, tol: float = FIBER_TOL) -> DistanceResult:
+def distance_to_origin(F: PolynomialMap, n_starts: int = 16,
+                       seed: int = 0) -> DistanceResult:
     """Upper bound on inf{|z| : f(z) = 0} from multi-start local minimization.
 
-    Default starts are the base point plus Gaussian perturbations of it.
-    The reported value can only decrease when starts are added.
+    The starts are the base point plus n_starts - 1 Gaussian perturbations
+    of it. The reported value can only decrease when starts are added.
     """
-    if starts is None:
-        rng = np.random.default_rng(seed)
-        pert = rng.standard_normal((n_starts - 1, 2 * F.n))
-        pert = pert[:, : F.n] + 1j * pert[:, F.n:]
-        starts = np.vstack([F.base_point[None, :], F.base_point[None, :] + pert])
-    else:
-        starts = np.atleast_2d(np.asarray(starts, dtype=complex))
-    targets = np.zeros_like(starts)
-    w, dist, ok = minimize_fiber_distance(F, targets, starts, tol=tol)
+    rng = np.random.default_rng(seed)
+    pert = rng.standard_normal((n_starts - 1, 2 * F.n))
+    pert = pert[:, : F.n] + 1j * pert[:, F.n:]
+    starts = np.vstack([F.base_point[None, :], F.base_point[None, :] + pert])
+    w, dist, ok = minimize_fiber_distance(F, np.zeros_like(starts), starts)
     if not np.any(ok):
         raise ProjectionError("no start could be projected onto the zero set")
     best = int(np.argmin(dist))

@@ -88,6 +88,31 @@ def test_missing_required_keys_exits_1(tmp_path, capsys):
     assert rc == 1
 
 
+def test_non_finite_config_value_exits_1(tmp_path, capsys):
+    cfg = {"k": 1, "r_grid": [1.0], "d_grid": [float("nan")]}
+    rc = cli.main(["baseline", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "b")])
+    assert rc == 1
+    assert read_stderr_payload(capsys)["error"] == "ValidationError"
+    assert not (tmp_path / "b" / "baseline_table.json").exists()
+
+
+@pytest.mark.parametrize("override", [["--T", "inf"], ["--seed", "-1"]],
+                         ids=["infinite-T", "negative-seed"])
+def test_out_of_schema_override_exits_1(tmp_path, capsys, override):
+    cfg = {"map": AFFINE, "seed": 5, "T": 0.5, "h": 5e-3}
+    rc = cli.main(["localize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")] + override)
+    assert rc == 1
+    assert read_stderr_payload(capsys)["error"] == "ValidationError"
+
+
+def test_override_without_config_is_validated(tmp_path, capsys):
+    rc = cli.main(["tilt", "--seed", "-1", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "$.seed" in read_stderr_payload(capsys)["message"]
+
+
 def test_config_hash_is_canonical():
     a = cli.config_hash({"b": 1, "a": [1, 2]})
     b = cli.config_hash({"a": [1, 2], "b": 1})
@@ -205,6 +230,15 @@ def test_baseline_table_matches_library(tmp_path):
     for row in doc["rows"]:
         assert row["measure"] == pytest.approx(
             affine_tube_measure(2, 1, row["d"], row["r"]))
+
+
+def test_baseline_past_the_series_bound_exits_1(tmp_path, capsys):
+    cfg = {"k": 1, "r_grid": [45.0], "d_grid": [40.0]}
+    rc = cli.main(["baseline", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "b")])
+    assert rc == 1
+    assert read_stderr_payload(capsys)["error"] == "DomainError"
+    assert not (tmp_path / "b" / "baseline_table.json").exists()
 
 
 # ---------------------------------------------------------------------------

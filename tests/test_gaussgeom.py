@@ -91,6 +91,20 @@ def test_disc_measure_rejects_bad_args():
         disc_measure(1, 0.0, -1.0)
 
 
+# True values from scipy.stats.ncx2: about 1, 0.9915 and 0.998. The series
+# underflows there (it returned 0, 1.0 and 1.0), so the call must refuse.
+@pytest.mark.parametrize("k,rho,R", [(1, 40.0, 45.0), (1, 37.6, 40.0), (5, 36.0, 39.0)])
+def test_disc_measure_refuses_underflowing_series(k, rho, R):
+    with pytest.raises(DomainError):
+        disc_measure(k, rho, R)
+
+
+def test_disc_measure_matches_ncx2_up_to_the_series_bound():
+    for k, rho, R in [(1, 37.6, 37.6), (1, 37.6, 37.0), (5, 37.0, 37.6)]:
+        assert disc_measure(k, rho, R) == pytest.approx(
+            stats.ncx2.cdf(R * R, 2 * k, rho * rho), abs=1e-12)
+
+
 def test_affine_tube_measure_independent_of_ambient_dimension():
     for n in [2, 3, 7]:
         assert affine_tube_measure(n, 1, 1.2, 0.8) == pytest.approx(

@@ -1,20 +1,8 @@
 import numpy as np
 import pytest
 
-from fiberloc import (
-    DomainError,
-    ValidationError,
-    hermitian_eig,
-    log_det,
-    proj_with_kernel,
-    psd_inv_sqrt,
-    psd_sqrt,
-)
-
-
-def random_hermitian(rng, n):
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (G + G.conj().T) / 2
+from fiberloc import ValidationError, hermitianize
+from fiberloc.linalg import check_hermitian, stacked_sqrt_pair
 
 
 def random_pd(rng, n):
@@ -22,112 +10,56 @@ def random_pd(rng, n):
     return G @ G.conj().T + 0.1 * np.eye(n)
 
 
-def test_eig_identity():
-    w, U = hermitian_eig(np.eye(2))
-    assert np.allclose(w, [1, 1])
-    assert np.allclose(U.conj().T @ U, np.eye(2), atol=1e-12)
+def test_hermitianize_takes_the_hermitian_part():
+    H = hermitianize(np.array([[1.0, 2.0j], [0.0, 3.0]]))
+    assert np.array_equal(H, np.array([[1.0, 1.0j], [-1.0j, 3.0]]))
 
 
-def test_eig_diagonal_sorted_ascending():
-    w, U = hermitian_eig(np.diag([3.0, 1.0]))
-    assert np.allclose(w, [1, 3])
+def test_check_hermitian_returns_exactly_symmetric_copy():
+    A = random_pd(np.random.default_rng(0), 3)
+    A[0, 1] += 1e-14
+    H = check_hermitian(A)
+    assert np.array_equal(H, H.conj().T)
+    assert np.linalg.norm(H - A) <= 1e-13
 
 
-def test_eig_reconstructs_random_hermitian():
-    rng = np.random.default_rng(0)
-    A = random_hermitian(rng, 4)
-    w, U = hermitian_eig(A)
-    rec = (U * w) @ U.conj().T
-    assert np.linalg.norm(rec - A) <= 1e-10 * np.linalg.norm(A)
-    assert np.all(np.diff(w) >= 0)
-
-
-def test_eig_rejects_non_hermitian():
+def test_check_hermitian_rejects_non_hermitian():
     with pytest.raises(ValidationError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+
+def test_check_hermitian_rejects_non_square():
+    with pytest.raises(ValidationError):
+        check_hermitian(np.zeros((2, 3)))
+
+
+# The PSD square root and its inverse, as the path engine computes them.
 
 def test_psd_sqrt_diagonal():
-    S = psd_sqrt(np.diag([4.0, 9.0]))
-    assert np.allclose(S, np.diag([2.0, 3.0]), atol=1e-12)
+    Bh, Bih = stacked_sqrt_pair(np.diag([4.0, 9.0]).astype(complex)[None])
+    assert np.allclose(Bh[0], np.diag([2.0, 3.0]), atol=1e-12)
+    assert np.allclose(Bih[0], np.diag([0.5, 1 / 3]), atol=1e-12)
 
 
 def test_psd_sqrt_identity():
-    assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
+    Bh, Bih = stacked_sqrt_pair(np.tile(np.eye(3, dtype=complex), (2, 1, 1)))
+    assert np.allclose(Bh, np.eye(3), atol=1e-12)
+    assert np.allclose(Bih, np.eye(3), atol=1e-12)
 
 
 def test_psd_sqrt_multiplies_back():
     rng = np.random.default_rng(1)
-    A = random_pd(rng, 3)
-    S = psd_sqrt(A)
-    assert np.linalg.norm(S @ S - A) <= 1e-10 * np.linalg.norm(A)
-    assert np.linalg.norm(S - S.conj().T) <= 1e-12 * np.linalg.norm(S)
-
-
-def test_psd_sqrt_rejects_negative_eigenvalue():
-    with pytest.raises(DomainError):
-        psd_sqrt(np.diag([1.0, -1.0]))
+    B = np.stack([random_pd(rng, 3) for _ in range(5)])
+    Bh, _ = stacked_sqrt_pair(B)
+    for b, bh in zip(B, Bh):
+        assert np.linalg.norm(bh @ bh - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.array_equal(bh, bh.conj().T)
 
 
 def test_inv_sqrt_inverts_sqrt():
     rng = np.random.default_rng(2)
-    B = random_pd(rng, 4)
-    prod = psd_inv_sqrt(B) @ psd_sqrt(B)
-    assert np.linalg.norm(prod - np.eye(4)) <= 1e-10
-
-
-def test_inv_sqrt_rejects_singular():
-    with pytest.raises(DomainError):
-        psd_inv_sqrt(np.diag([1.0, 0.0]))
-
-
-def test_projection_coordinate_subspace():
-    Q = np.array([[1.0], [0.0]], dtype=complex)
-    assert np.allclose(proj_with_kernel(Q), np.diag([0.0, 1.0]), atol=1e-14)
-
-
-def test_projection_empty_kernel_is_identity():
-    Q = np.zeros((3, 0), dtype=complex)
-    assert np.allclose(proj_with_kernel(Q), np.eye(3), atol=1e-14)
-
-
-def test_projection_properties_random():
-    rng = np.random.default_rng(3)
-    G = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    Q, _ = np.linalg.qr(G)
-    pi = proj_with_kernel(Q)
-    assert np.linalg.norm(pi @ pi - pi) <= 1e-12
-    assert np.linalg.norm(pi - pi.conj().T) <= 1e-12
-    assert np.linalg.norm(pi @ Q) <= 1e-12
-    assert abs(np.trace(pi).real - 2) <= 1e-12  # rank n - dim(kernel)
-
-
-def test_projection_rejects_non_orthonormal():
-    with pytest.raises(ValidationError):
-        proj_with_kernel(np.array([[1.0], [1.0]]))
-
-
-def test_log_det_trivial():
-    assert log_det(np.eye(3)) == pytest.approx(0.0, abs=1e-14)
-    assert log_det(np.diag([np.e, np.e**2])) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_log_det_matches_eigenvalue_product():
-    rng = np.random.default_rng(4)
-    B = random_pd(rng, 5)
-    w = np.linalg.eigvalsh(B)
-    assert log_det(B) == pytest.approx(float(np.log(np.prod(w))), abs=1e-10)
-
-
-def test_log_det_rejects_non_pd():
-    with pytest.raises(DomainError):
-        log_det(np.diag([1.0, -2.0]))
-
-
-def test_psd_eigenvalues_have_small_negative_floor():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        G = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        A = G @ G.conj().T  # PSD, rank deficient
-        w, _ = hermitian_eig(A)
-        assert w[0] >= -1e-12 * max(1.0, w[-1])
+    B = np.stack([random_pd(rng, 4) for _ in range(5)])
+    Bh, Bih = stacked_sqrt_pair(B)
+    for bh, bih in zip(Bh, Bih):
+        assert np.linalg.norm(bih @ bh - np.eye(4)) <= 1e-10
+        assert np.linalg.norm(bh @ bih - np.eye(4)) <= 1e-10

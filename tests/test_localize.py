@@ -129,8 +129,8 @@ def test_sigma_hs_norm_identity():
     B = np.eye(2) + G @ G.conj().T
     st = make_state(F, [1.0, 1.0], B)
     S = sigma_of_state(st, F)
-    from fiberloc.linalg import psd_sqrt
-    hs = np.linalg.norm(psd_sqrt(B) @ S)
+    from scipy.linalg import sqrtm
+    hs = np.linalg.norm(sqrtm(B) @ S)
     assert hs == pytest.approx(np.sqrt(0.5), abs=1e-10)
 
 
