@@ -140,7 +140,6 @@ def _require(cfg, *keys):
 def _map_from_config(cfg) -> polymap.PolynomialMap:
     _require(cfg, "map")
     m = cfg["map"]
-    jsonschema.validate(m, MAP_SCHEMA)
     # Length constraints the JSON schema cannot express (they depend on n).
     n = m["n"]
     for j, comp in enumerate(m["components"]):
@@ -448,7 +447,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out)
-    except (ValidationError, DomainError, jsonschema.ValidationError) as exc:
+    except (ValidationError, DomainError) as exc:
         return _fail(exc, EXIT_CONFIG)
     except (SingularityError, ProjectionError, PathAbort, StateError) as exc:
         return _fail(exc, EXIT_NUMERICAL)

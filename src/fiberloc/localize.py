@@ -18,7 +18,7 @@ run_path a one-path wrapper over run_paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,7 +213,7 @@ def sigma_of_state(state: LocalizationState, F: PolynomialMap) -> np.ndarray:
     |B^{1/2} Sigma|_HS = sqrt((n-k)/n) <= 1.
     """
     res = residual_norm(F, state.a)
-    if res > FIBER_TOL:
+    if not res <= FIBER_TOL:
         raise StateError(f"center is off the fiber: residual {res:.3e} > {FIBER_TOL:.1e}")
     Sigma, _, _, _, singular = _sigma_pieces(F, state.a[None, :], state.B[None])
     if singular[0]:
@@ -268,7 +268,7 @@ def step(state: LocalizationState, F: PolynomialMap, h: float,
     if h <= 0:
         raise ValidationError(f"step length must be positive, got {h}")
     res = residual_norm(F, state.a)
-    if res > FIBER_TOL:
+    if not res <= FIBER_TOL:
         raise StateError(f"center is off the fiber: residual {res:.3e}")
     a, B, accum, pre, ok, singular = _advance(
         F, state.a[None, :], state.B[None], state.sigma_accum[None],
@@ -328,8 +328,8 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
     stream keyed by (seed, i). Paths that hit a singularity or a projection
     failure are frozen and flagged; the others continue.
     """
-    if T <= 0 or h <= 0:
-        raise ValidationError("T and h must be positive")
+    if not (T > 0 and h > 0 and np.isfinite(T / h)):
+        raise ValidationError("T and h must be positive, with a finite ratio T / h")
     n, k = F.n, F.k
     n_steps = max(1, int(round(T / h)))
     if record_every is None:
@@ -419,5 +419,4 @@ def run_path(F: PolynomialMap, T: float, h: float, seed: int,
     if out.aborted[0]:
         raise PathAbort("path aborted", {**(out.abort_reasons[0] or {}),
                                          "diagnostics": diag})
-    state = out.state(0, seed=seed)
-    return replace(state, stream=(seed, 0)), diag
+    return out.state(0, seed=seed), diag

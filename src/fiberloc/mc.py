@@ -262,7 +262,7 @@ def center_law_sample(F: PolynomialMap, T: float, h: float, n_paths: int,
     live = ~out.aborted
     samples = out.a[live]
     res = np.atleast_1d(residual_norm(F, samples))
-    if np.any(res > polymap.FIBER_TOL):
+    if not np.all(res <= polymap.FIBER_TOL):
         raise ValidationError("a returned center violates the fiber tolerance")
     sq = np.sum(np.abs(samples) ** 2, axis=1)
     return CenterLawResult(

@@ -1,6 +1,7 @@
 """Holomorphic polynomial maps C^n -> C^k and their zero sets.
 
-A map is stored as explicit monomial sums with exact symbolic Jacobian.
+A map is stored as one monomial table (exponent rows, a coefficient column
+per component); f and its exact Jacobian are two plans over that table.
 The zero set is traversed with Gauss-Newton projection; all point-wise
 operations accept either a single point (n,) or a stack (P, n).
 """
@@ -51,43 +52,31 @@ class PolynomialMap:
             raise ValidationError(f"expected {k} components, got {len(components)}")
         self.n = int(n)
         self.k = int(k)
-        self._coeffs = []
-        self._exps = []
-        for comp in components:
-            coeffs = np.array([complex(c) for c, _ in comp], dtype=complex)
-            exps = np.array([e for _, e in comp], dtype=np.int64)
-            if exps.size == 0:
-                coeffs = np.zeros(1, dtype=complex)
-                exps = np.zeros((1, n), dtype=np.int64)
-            if exps.ndim != 2 or exps.shape[1] != n:
-                raise ValidationError("every exponent vector must have length n")
-            if np.any(exps < 0):
-                raise ValidationError("exponents must be nonnegative integers")
-            self._coeffs.append(coeffs)
-            self._exps.append(exps)
-        # Exact symbolic derivative tables: d/dz_l of each component.
-        self._jac_coeffs = []
-        self._jac_exps = []
-        for coeffs, exps in zip(self._coeffs, self._exps):
-            row_c, row_e = [], []
-            for ell in range(n):
-                dc = coeffs * exps[:, ell]
-                de = exps.copy()
-                de[:, ell] = np.maximum(de[:, ell] - 1, 0)
-                keep = dc != 0
-                if not np.any(keep):
-                    dc = np.zeros(1, dtype=complex)
-                    de = np.zeros((1, n), dtype=np.int64)
-                else:
-                    dc, de = dc[keep], de[keep]
-                row_c.append(dc)
-                row_e.append(de)
-            self._jac_coeffs.append(row_c)
-            self._jac_exps.append(row_e)
+        # f as one table: the distinct exponent vectors, one coefficient
+        # column per component (a repeated monomial sums its coefficients).
+        rows: dict = {}
+        for j, comp in enumerate(components):
+            for c, e in comp:
+                e = tuple(int(x) for x in e)
+                if len(e) != n or min(e, default=0) < 0:
+                    raise ValidationError("exponent vectors must hold n nonnegative integers")
+                rows.setdefault(e, np.zeros(k, dtype=complex))[j] += complex(c)
+        self._exps = np.array(list(rows), dtype=np.int64).reshape(-1, n)
+        self._coeffs = np.array(list(rows.values()), dtype=complex).reshape(-1, k)
+        self._deg = int(self._exps.max(initial=0))
+        # Df from the same table: each monomial holding z_l, with that exponent
+        # lowered by one and its coefficients times the old one in columns (j, l).
+        held = self._exps > 0
+        d_exps = (self._exps[:, None, :] - np.eye(n, dtype=np.int64))[held]
+        d_coeffs = np.einsum("mj,ml,lq->mljq", self._coeffs, self._exps, np.eye(n))[held]
+        # A plan: per variable l, each monomial's row d * n + l in the power table.
+        self._f_plan, self._df_plan = [
+            (np.ascontiguousarray((e * n + np.arange(n)).T), c) for e, c in
+            ((self._exps, self._coeffs), (d_exps, d_coeffs.reshape(-1, k * n)))]
 
         self.base_point = np.asarray(base_point, dtype=complex).reshape(n)
         res = float(np.linalg.norm(eval_map(self, self.base_point)))
-        if res > 1e-12:
+        if not res <= 1e-12:
             raise ValidationError(f"base_point residual {res:.3e} exceeds 1e-12")
         J = eval_jacobian(self, self.base_point)
         smin = np.linalg.svd(J, compute_uv=False)[-1]
@@ -105,9 +94,9 @@ class PolynomialMap:
             "components": [
                 [
                     {"coeff": [c.real, c.imag], "exps": [int(e) for e in ev]}
-                    for c, ev in zip(coeffs, exps)
+                    for c, ev in zip(column, self._exps) if c != 0
                 ]
-                for coeffs, exps in zip(self._coeffs, self._exps)
+                for column in self._coeffs.T
             ],
             "base_point": [[z.real, z.imag] for z in self.base_point],
         }
@@ -132,35 +121,42 @@ class PolynomialMap:
         w = np.asarray(weights, dtype=float).reshape(self.n)
         if np.any(w <= 0):
             raise ValidationError("weights must be positive")
-        comps = []
-        for coeffs, exps in zip(self._coeffs, self._exps):
-            scale = np.prod(w[None, :] ** (-exps), axis=1)
-            comps.append(list(zip(coeffs * scale, exps)))
+        scale = np.prod(w[None, :] ** (-self._exps), axis=1)
+        comps = [list(zip(column * scale, self._exps)) for column in self._coeffs.T]
         return PolynomialMap(self.n, self.k, comps, self.base_point * w)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
+def _eval_plan(F: PolynomialMap, z: np.ndarray, plan) -> np.ndarray:
+    """The monomial sums of a plan at z: (C,) for a single point, (P, C)
+    stacked. One table of the powers z_l^d, d = 0..deg, built by repeated
+    multiplication, serves every monomial."""
+    pts, single = _as_points(z, F.n)
+    idx, coeffs = plan
+    pw = np.empty((F._deg + 1, F.n, pts.shape[0]), dtype=complex)
+    pw[0] = 1
+    pw[1:] = pts.T
+    for d in range(2, F._deg + 1):
+        pw[d] *= pw[d - 1]
+    pw = pw.reshape(-1, pts.shape[0])
+    mono = pw.take(idx[0], axis=0)
+    for ell in range(1, F.n):
+        mono *= pw.take(idx[ell], axis=0)
+    out = mono.T.dot(coeffs)
+    return out[0] if single else out
+
+
 def eval_map(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
     """Evaluate f at z. Returns shape (k,) for a single point, (P, k) stacked."""
-    pts, single = _as_points(z, F.n)
-    out = np.empty((pts.shape[0], F.k), dtype=complex)
-    for j in range(F.k):
-        powers = pts[:, None, :] ** F._exps[j][None, :, :]
-        out[:, j] = powers.prod(axis=2) @ F._coeffs[j]
-    return out[0] if single else out
+    return _eval_plan(F, z, F._f_plan)
 
 
 def eval_jacobian(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
     """Exact holomorphic Jacobian (df_j / dz_l) at z; shape (k, n) or (P, k, n)."""
-    pts, single = _as_points(z, F.n)
-    out = np.empty((pts.shape[0], F.k, F.n), dtype=complex)
-    for j in range(F.k):
-        for ell in range(F.n):
-            powers = pts[:, None, :] ** F._jac_exps[j][ell][None, :, :]
-            out[:, j, ell] = powers.prod(axis=2) @ F._jac_coeffs[j][ell]
-    return out[0] if single else out
+    out = _eval_plan(F, z, F._df_plan)
+    return out.reshape(out.shape[:-1] + (F.k, F.n))
 
 
 def residual_norm(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
@@ -205,7 +201,7 @@ def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
     fv = eval_map(F, pts)
     res = np.linalg.norm(fv, axis=1)
     singular = np.zeros(pts.shape[0], dtype=bool)
-    active = res > FIBER_TOL
+    active = ~(res <= FIBER_TOL)
     for _ in range(max_iter):
         if not np.any(active):
             break
@@ -228,7 +224,7 @@ def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
         fv[idx] = eval_map(F, pts[idx])
         r = np.linalg.norm(fv[idx], axis=1)
         res[idx] = r
-        active[idx] = r > FIBER_TOL
+        active[idx] = ~(r <= FIBER_TOL)
     converged = ~active & ~singular
     return pts, res, converged, singular
 

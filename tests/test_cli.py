@@ -107,6 +107,26 @@ def test_out_of_schema_override_exits_1(tmp_path, capsys, override):
     assert read_stderr_payload(capsys)["error"] == "ValidationError"
 
 
+def test_infinite_step_count_exits_1(tmp_path, capsys):
+    # T and h each pass the schema, but T / h overflows to infinity
+    cfg = {"map": AFFINE, "seed": 5, "T": 0.5, "h": 5e-3}
+    rc = cli.main(["localize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o"), "--T", "1e300", "--h", "1e-300"])
+    assert rc == 1
+    assert read_stderr_payload(capsys)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("components", [[[]], [HYPERBOLA["components"][0], []]],
+                         ids=["only-component", "second-component"])
+def test_map_with_empty_component_exits_1(tmp_path, capsys, components):
+    cfg = {"map": {**HYPERBOLA, "k": len(components), "components": components},
+           "seed": 0, "r_grid": [0.5], "N": 10}
+    rc = cli.main(["tube", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    assert read_stderr_payload(capsys)["error"] == "ValidationError"
+
+
 def test_override_without_config_is_validated(tmp_path, capsys):
     rc = cli.main(["tilt", "--seed", "-1", "--out", str(tmp_path)])
     assert rc == 1

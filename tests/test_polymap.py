@@ -15,7 +15,7 @@ from fiberloc import (
     paraboloid_map,
     project_to_fiber,
 )
-from fiberloc.polymap import residual_norm
+from fiberloc.polymap import minimize_fiber_distance, project_batch, residual_norm
 
 
 def random_cubic_map(seed=0):
@@ -36,6 +36,31 @@ def random_cubic_map(seed=0):
     return PolynomialMap(3, 2, comps, base)
 
 
+def monomial_sum(comp, z):
+    """The sum of c z^e over the (c, e) pairs of one component, term by term."""
+    return sum(c * np.prod(z ** np.array(e)) for c, e in comp)
+
+
+def quintic_components():
+    """Components of a fixed map C^3 -> C^2 of degree 5, and its base point.
+
+    Component 0 holds the monomial z_1 z_2 twice and a zero coefficient;
+    both components share z_1 z_2 and the constant term.
+    """
+    base = np.array([0.4 - 0.2j, 0.1 + 0.3j, -0.5j])
+    comps = [
+        [(1.5, [5, 0, 0]), (0.5 - 1j, [1, 1, 0]), (1.0, [1, 0, 0]),
+         (2j, [1, 1, 0]), (0.0, [0, 4, 1]), (-0.7, [2, 2, 1])],
+        [(1.0, [0, 0, 1]), (-0.3j, [3, 1, 1]), (2.0, [1, 1, 0]),
+         (0.2, [0, 0, 5]), (1.0, [0, 1, 0])],
+    ]
+    return [c + [(-monomial_sum(c, base), [0, 0, 0])] for c in comps], base
+
+
+def quintic_map():
+    return PolynomialMap(3, 2, *quintic_components())
+
+
 # ---------------------------------------------------------------------------
 # Evaluation and Jacobian
 
@@ -54,12 +79,21 @@ def test_eval_paraboloid_known_points():
 
 
 def test_eval_stacked_matches_loop():
-    F = random_cubic_map()
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    stacked = eval_map(F, pts)
-    for i in range(5):
-        assert np.allclose(stacked[i], eval_map(F, pts[i]))
+    for F in (random_cubic_map(), quintic_map()):
+        stacked = eval_map(F, pts)
+        for i in range(5):
+            assert np.allclose(stacked[i], eval_map(F, pts[i]))
+
+
+def test_eval_matches_monomial_sums():
+    comps, _ = quintic_components()
+    F = quintic_map()
+    rng = np.random.default_rng(3)
+    for z in rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)):
+        ref = [monomial_sum(c, z) for c in comps]
+        assert np.allclose(eval_map(F, z), ref, rtol=1e-13, atol=1e-13)
 
 
 def test_jacobian_hyperbola():
@@ -71,16 +105,16 @@ def test_jacobian_hyperbola():
 def test_jacobian_matches_finite_differences():
     # central differences along each real coordinate direction; for a
     # holomorphic map that recovers the complex derivative
-    F = random_cubic_map()
     rng = np.random.default_rng(11)
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    J = eval_jacobian(F, z)
     h = 1e-6
-    for ell in range(3):
-        e = np.zeros(3, dtype=complex)
-        e[ell] = h
-        fd = (eval_map(F, z + e) - eval_map(F, z - e)) / (2 * h)
-        assert np.allclose(J[:, ell], fd, atol=1e-7, rtol=1e-7)
+    for F in (random_cubic_map(), quintic_map()):
+        J = eval_jacobian(F, z)
+        for ell in range(3):
+            e = np.zeros(3, dtype=complex)
+            e[ell] = h
+            fd = (eval_map(F, z + e) - eval_map(F, z - e)) / (2 * h)
+            assert np.allclose(J[:, ell], fd, atol=1e-7, rtol=1e-7)
 
 
 def test_residual_norm_shapes():
@@ -151,6 +185,19 @@ def test_projection_raises_on_singularity():
         project_to_fiber(F, np.zeros(2))
 
 
+def test_projection_refuses_a_non_finite_residual():
+    # f = z_2 - z_1^300 + z_1^299 overflows to inf - inf = NaN at (12, 0);
+    # a NaN residual is not on the zero set, so no start there is feasible
+    F = PolynomialMap(2, 1, [[(1.0, [0, 1]), (-1.0, [300, 0]), (1.0, [299, 0])]],
+                      [0.0, 0.0])
+    z = np.array([[12.0, 0.0]], dtype=complex)
+    with np.errstate(all="ignore"):
+        _, _, converged, _ = project_batch(F, z)
+        _, dist, ok = minimize_fiber_distance(F, z, z)
+    assert not converged[0]
+    assert not ok[0] and dist[0] == np.inf
+
+
 def test_projection_moves_little_when_close():
     F = hyperbola_map()
     z = np.array([1.0 + 1e-4, 1.0])
@@ -196,12 +243,12 @@ def test_distance_decreases_with_more_starts():
 # Serialization, rescaling and validation
 
 def test_json_round_trip():
-    F = random_cubic_map()
-    G = PolynomialMap.from_json(F.to_json())
     rng = np.random.default_rng(13)
     pts = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    assert np.allclose(eval_map(F, pts), eval_map(G, pts))
-    assert np.allclose(F.base_point, G.base_point)
+    for F in (random_cubic_map(), quintic_map()):
+        G = PolynomialMap.from_json(F.to_json())
+        assert np.allclose(eval_map(F, pts), eval_map(G, pts))
+        assert np.allclose(F.base_point, G.base_point)
 
 
 def test_json_rejects_malformed():
