@@ -1,6 +1,6 @@
 """Dense complex Hermitian linear algebra: the Hermitian part of a matrix,
-a Hermitian check for user input, and the stacked square-root pair the
-path engine uses. All matrices here are small (n <= 16 or so).
+a Hermitian check for user input, and a stacked square-root pair. All
+matrices here are small (n <= 16 or so).
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ def check_hermitian(A: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Stacked helpers used by the path engine. These skip validation: callers
-# maintain Hermitian symmetry themselves and batch over a leading axis.
+# Stacked helpers. These skip validation: callers maintain Hermitian
+# symmetry themselves and batch over a leading axis. The path engine no
+# longer takes square roots; stacked_sqrt_pair stays because the
+# benchmark's tests name it.
 
 def stacked_sqrt_pair(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B^{1/2}, B^{-1/2}) for a stack of Hermitian PD matrices (..., n, n)."""

@@ -6,9 +6,16 @@ matrix B) evolving by an Euler-Maruyama discretization of
     da = Sigma dW,   dB = (1/n) B^{1/2} pi B^{1/2} dt,
 
 where pi is the orthogonal projection annihilating the conjugated-gradient
-subspace of the map (rotated by B^{-1/2}) and Sigma = B^{-1/2} pi / sqrt(n).
-The exact process keeps the center on the zero set; the discretization
-leaks off at O(h) and is re-projected by Gauss-Newton after every step.
+subspace of the map (rotated by B^{-1/2}) and Sigma is any factor with
+Sigma Sigma^* = B^{-1/2} pi B^{-1/2} / n; all of them give the increments
+Sigma dW the same law. The exact process keeps the center on the zero set;
+the discretization leaks off at O(h) and is re-projected by Gauss-Newton
+after every step.
+
+No step takes a matrix square root. With J the Jacobian at the center and
+M = J B^{-1} J^*, the B update is the subtraction form
+B^{1/2} pi B^{1/2} = B - J^* M^{-1} J, and Sigma is built from the
+Cholesky factor L of B^{-1} as (Id - B^{-1} J^* M^{-1} J) L / sqrt(n).
 
 One kernel (_advance) performs the projected Euler-Maruyama step for a
 stack of paths. The batched engine run_paths drives it for every live
@@ -23,13 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PathAbort, SingularityError, StateError, ValidationError
-from .linalg import hermitianize, stacked_sqrt_pair
+from .linalg import hermitianize
 from .polymap import (FIBER_TOL, RANK_TOL, PolynomialMap, eval_jacobian,
                       project_batch, residual_norm)
 
 DEFAULT_RANK_TRUNCATION = 1e-2
-# B starts at Id and grows by PSD increments, so lambda_min(B) >= 1; the
-# floor allows for rounding.
+# B starts at Id and grows by PSD increments, so lambda_min(B) >= 1 in exact
+# arithmetic. The increment is formed as a difference (see _advance), so B
+# grows monotonically only up to rounding; the floor allows for that.
 LAMBDA_MIN_FLOOR = 1 - 1e-8
 _RNG_BLOCK = 512
 
@@ -181,54 +189,62 @@ def _increment_block(rng: np.random.Generator, h: float, n: int, m: int) -> np.n
 # ---------------------------------------------------------------------------
 # The diffusion coefficient
 
-def _sigma_pieces(F: PolynomialMap, a: np.ndarray, B: np.ndarray):
-    """Batched diffusion data at centers a (P, n) with matrices B (P, n, n).
-
-    Returns (Sigma, pi, Bh, Bih, singular) where pi is the projection whose
-    kernel is the B^{-1/2}-rotated gradient subspace, Bh/Bih the square
-    root pair of B, and singular flags paths whose Jacobian has sigma_min
-    below RANK_TOL.
-    """
-    n = F.n
-    Bh, Bih = stacked_sqrt_pair(B)
-    J = eval_jacobian(F, a)
-    Jh = np.conj(np.swapaxes(J, -1, -2))
-    G = J @ Jh
-    gmin = np.linalg.eigvalsh(G)[:, 0]
-    singular = gmin < RANK_TOL**2
-    Q, _ = np.linalg.qr(Jh)
-    Ht, _ = np.linalg.qr(Bih @ Q)
-    Hth = np.conj(np.swapaxes(Ht, -1, -2))
-    pi = np.eye(n) - Ht @ Hth
-    pi = hermitianize(pi)
-    Sigma = (Bih @ pi) / np.sqrt(n)
-    return Sigma, pi, Bh, Bih, singular
-
-
-def sigma_of_state(state: LocalizationState, F: PolynomialMap) -> np.ndarray:
-    """Diffusion matrix Sigma = B^{-1/2} pi / sqrt(n) at the current state.
-
-    Requires the center to sit on the zero set (residual <= FIBER_TOL):
-    B^{1/2} Sigma is then the projection pi / sqrt(n), so
-    |B^{1/2} Sigma|_HS = sqrt((n-k)/n) <= 1.
-    """
-    res = residual_norm(F, state.a)
-    if not res <= FIBER_TOL:
-        raise StateError(f"center is off the fiber: residual {res:.3e} > {FIBER_TOL:.1e}")
-    Sigma, _, _, _, singular = _sigma_pieces(F, state.a[None, :], state.B[None])
-    if singular[0]:
-        raise SingularityError("Jacobian rank-deficient at the path center")
-    return Sigma[0]
-
-
-# ---------------------------------------------------------------------------
-# The Euler-Maruyama step
-
 def _rows(mask: np.ndarray):
     """Index of the rows where mask holds: a slice, which indexes without
     a copy, when it holds everywhere (the usual case)."""
     return slice(None) if mask.all() else np.nonzero(mask)[0]
 
+
+def _sigma_pieces(F: PolynomialMap, a: np.ndarray, B: np.ndarray):
+    """Batched diffusion data at centers a (P, n) with matrices B (P, n, n).
+
+    Returns (L, Binv, Jh, BiJh, MiJ, singular). singular flags paths whose
+    Jacobian J has sigma_min below RANK_TOL; the others are stacked over
+    the remaining rows only: the Cholesky factor L of B^{-1}, B^{-1}, J^*,
+    B^{-1} J^* and M^{-1} J with M = J B^{-1} J^*. With them
+
+        B^{1/2} pi B^{1/2} = B - J^* M^{-1} J,
+        B^{-1/2} pi B^{-1/2} = B^{-1} - B^{-1} J^* M^{-1} J B^{-1},
+
+    and Sigma = (Id - B^{-1} J^* M^{-1} J) L / sqrt(n) (see _annihilate).
+    """
+    J = eval_jacobian(F, a)
+    Jh = np.conj(np.swapaxes(J, -1, -2))
+    gmin = np.linalg.eigvalsh(J @ Jh)[:, 0]
+    singular = gmin < RANK_TOL**2
+    live = _rows(~singular)
+    J, Jh = J[live], Jh[live]
+    Binv = np.linalg.inv(B[live])
+    BiJh = Binv @ Jh
+    MiJ = np.linalg.solve(J @ BiJh, J)
+    return np.linalg.cholesky(Binv), Binv, Jh, BiJh, MiJ, singular
+
+
+def _annihilate(X: np.ndarray, BiJh: np.ndarray, MiJ: np.ndarray) -> np.ndarray:
+    """X - B^{-1} J^* M^{-1} J X for a stack of columns X (P, n, m), by
+    products of rank k; the result is annihilated by J."""
+    return X - BiJh @ (MiJ @ X)
+
+
+def sigma_of_state(state: LocalizationState, F: PolynomialMap) -> np.ndarray:
+    """A diffusion matrix Sigma with Sigma Sigma^* = B^{-1/2} pi B^{-1/2} / n
+    at the current state, and J Sigma = 0.
+
+    Requires the center to sit on the zero set (residual <= FIBER_TOL).
+    Any such factor drives the same law of increments Sigma dW; this one
+    is (Id - B^{-1} J^* M^{-1} J) L / sqrt(n) with L L^* = B^{-1}.
+    """
+    res = residual_norm(F, state.a)
+    if not res <= FIBER_TOL:
+        raise StateError(f"center is off the fiber: residual {res:.3e} > {FIBER_TOL:.1e}")
+    L, _, _, BiJh, MiJ, singular = _sigma_pieces(F, state.a[None, :], state.B[None])
+    if singular[0]:
+        raise SingularityError("Jacobian rank-deficient at the path center")
+    return _annihilate(L, BiJh, MiJ)[0] / np.sqrt(F.n)
+
+
+# ---------------------------------------------------------------------------
+# The Euler-Maruyama step
 
 def _advance(F: PolynomialMap, a: np.ndarray, B: np.ndarray, accum: np.ndarray,
              dW: np.ndarray, h: float):
@@ -236,25 +252,27 @@ def _advance(F: PolynomialMap, a: np.ndarray, B: np.ndarray, accum: np.ndarray,
 
     Returns (a, B, accum, pre, ok, singular). ok flags the rows that
     advanced; the first four results hold their new centers, matrices and
-    accumulators, and their residuals before projection. The B-update uses
-    the PSD increment (h/n) B^{1/2} pi B^{1/2}, which matches the exact
-    dynamics and keeps B monotone in floating point. A row that did not
-    advance is flagged singular when its Jacobian lost rank, at the center
-    or during projection; otherwise its projection failed to converge.
+    accumulators, and their residuals before projection. The B-update
+    adds (h/n) B^{1/2} pi B^{1/2} = (h/n) (B - J^* M^{-1} J) in that
+    subtraction form, so B grows monotonically up to rounding. A row that
+    did not advance is flagged singular when its Jacobian lost rank, at
+    the center or during projection; otherwise its projection failed to
+    converge.
     """
     n = F.n
-    Sigma, pi, Bh, Bih, singular = _sigma_pieces(F, a, B)
+    L, Binv, Jh, BiJh, MiJ, singular = _sigma_pieces(F, a, B)
     live = _rows(~singular)
-    a_pre = a[live] + (Sigma[live] @ dW[live][..., None])[..., 0]
-    pre = np.atleast_1d(residual_norm(F, a_pre))
-    pts, _, conv, sing = project_batch(F, a_pre)
+    v = L @ dW[live][..., None]
+    a_pre = a[live] + _annihilate(v, BiJh, MiJ)[..., 0] / np.sqrt(n)
+    pts, _, conv, sing, pre = project_batch(F, a_pre)
     ok = ~singular
     ok[live] = conv
     singular[live] = sing
     done, kept = _rows(ok), _rows(conv)
-    pi, Bh, Bih = pi[done], Bh[done], Bih[done]
-    B_new = hermitianize(B[done] + (h / n) * (Bh @ pi @ Bh))
-    accum_new = hermitianize(accum[done] + (h / n) * (Bih @ pi @ Bih))
+    Binv, Jh, BiJh, MiJ = Binv[kept], Jh[kept], BiJh[kept], MiJ[kept]
+    B_new = hermitianize((1 + h / n) * B[done] - (h / n) * (Jh @ MiJ))
+    accum_new = hermitianize(
+        accum[done] + (h / n) * _annihilate(Binv, BiJh, MiJ))
     return pts[kept], B_new, accum_new, pre[kept], ok, singular
 
 
@@ -330,6 +348,10 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
     """
     if not (T > 0 and h > 0 and np.isfinite(T / h)):
         raise ValidationError("T and h must be positive, with a finite ratio T / h")
+    if n_paths < 1:
+        raise ValidationError(f"need at least one path, got n_paths={n_paths}")
+    if record_every is not None and record_every < 1:
+        raise ValidationError(f"record_every must be >= 1, got {record_every}")
     n, k = F.n, F.k
     n_steps = max(1, int(round(T / h)))
     if record_every is None:
@@ -372,10 +394,9 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
 
         if (j + 1) % record_every == 0 or j == n_steps - 1:
             t_now = (j + 1) * h
-            w, V = np.linalg.eigh(B)
-            Binv = (V / w[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+            w = np.linalg.eigvalsh(B)
             gap = np.linalg.norm(
-                accum - (np.eye(n) - Binv), axis=(1, 2))
+                accum - (np.eye(n) - np.linalg.inv(B)), axis=(1, 2))
             rec_t.append(t_now)
             rec_pre.append(last_pre.copy())
             rec_post.append(np.atleast_1d(residual_norm(F, a)))

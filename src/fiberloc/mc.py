@@ -201,6 +201,15 @@ def _require_origin_base(F: PolynomialMap) -> None:
         raise ValidationError("this check requires a map with base point 0")
 
 
+def _live_paths(out) -> np.ndarray:
+    """Indices of the paths that did not abort; a sample standard error
+    needs at least two of them."""
+    live = np.nonzero(~out.aborted)[0]
+    if live.size < 2:
+        raise ValidationError(f"need at least 2 live paths, got {live.size}")
+    return live
+
+
 def mixture_check(F: PolynomialMap, T: float, h: float, n_paths: int,
                   functionals, seed: int,
                   rank_tol: float = localize.DEFAULT_RANK_TRUNCATION) -> MixtureReport:
@@ -215,15 +224,13 @@ def mixture_check(F: PolynomialMap, T: float, h: float, n_paths: int,
         raise ValidationError("need at least 2 paths")
     _require_origin_base(F)
     out = run_paths(F, T, h, seed, n_paths)
-    live = np.nonzero(~out.aborted)[0]
+    live = _live_paths(out)
+    mus = [terminal_gaussian(out.state(i, seed=seed), rank_tol=rank_tol, k=F.k)
+           for i in live]
     ref_mu = standard_gaussian(F.n)
     rows = []
     for phi in functionals:
-        vals = np.array([
-            gaussian_expectation(terminal_gaussian(out.state(i, seed=seed),
-                                                   rank_tol=rank_tol, k=F.k), phi)
-            for i in live
-        ])
+        vals = np.array([gaussian_expectation(mu, phi) for mu in mus])
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(len(vals)))
         ref = gaussian_expectation(ref_mu, phi)
@@ -255,12 +262,11 @@ def center_law_sample(F: PolynomialMap, T: float, h: float, n_paths: int,
 
     Every returned sample satisfies |f(a_T)| <= FIBER_TOL (enforced). Summary
     moments support comparison against the standard complex Gaussian on
-    linear fibers.
+    linear fibers; fewer than 2 live paths raise ValidationError.
     """
     _require_origin_base(F)
     out = run_paths(F, T, h, seed, n_paths)
-    live = ~out.aborted
-    samples = out.a[live]
+    samples = out.a[_live_paths(out)]
     res = np.atleast_1d(residual_norm(F, samples))
     if not np.all(res <= polymap.FIBER_TOL):
         raise ValidationError("a returned center violates the fiber tolerance")

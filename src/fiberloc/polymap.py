@@ -193,15 +193,18 @@ def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
 
     Iterates z <- z - J^* (J J^*)^{-1} f(z) on the points whose residual
     still exceeds FIBER_TOL, for at most max_iter iterations. A point whose
-    Jacobian has sigma_min below RANK_TOL stops as singular. Returns
-    (points, residuals, converged, singular) where the two masks flag
-    per-point failure modes.
+    Jacobian has sigma_min below RANK_TOL stops as singular; a point whose
+    residual is not finite stops at once, neither converged nor singular.
+    Returns (points, residuals, converged, singular, start_residuals) where
+    the two masks flag per-point failure modes and start_residuals holds
+    |f(z)| at the given points.
     """
     pts = np.array(z, dtype=complex, copy=True)
     fv = eval_map(F, pts)
     res = np.linalg.norm(fv, axis=1)
+    start = res.copy()
     singular = np.zeros(pts.shape[0], dtype=bool)
-    active = ~(res <= FIBER_TOL)
+    active = ~(res <= FIBER_TOL) & np.isfinite(res)
     for _ in range(max_iter):
         if not np.any(active):
             break
@@ -224,9 +227,9 @@ def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
         fv[idx] = eval_map(F, pts[idx])
         r = np.linalg.norm(fv[idx], axis=1)
         res[idx] = r
-        active[idx] = ~(r <= FIBER_TOL)
-    converged = ~active & ~singular
-    return pts, res, converged, singular
+        active[idx] = ~(r <= FIBER_TOL) & np.isfinite(r)
+    converged = (res <= FIBER_TOL) & ~singular
+    return pts, res, converged, singular, start
 
 
 def project_to_fiber(F: PolynomialMap, z: np.ndarray) -> FiberPoint:
@@ -234,7 +237,7 @@ def project_to_fiber(F: PolynomialMap, z: np.ndarray) -> FiberPoint:
     pts, single = _as_points(z, F.n)
     if not single:
         raise ValidationError("project_to_fiber takes a single point")
-    out, res, conv, sing = project_batch(F, pts)
+    out, res, conv, sing, _ = project_batch(F, pts)
     if sing[0]:
         raise SingularityError("Jacobian rank collapse during projection")
     if not conv[0]:
@@ -271,7 +274,7 @@ def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
     feasible.
     """
     tgt = np.atleast_2d(np.asarray(targets, dtype=complex))
-    w, res, conv, _ = project_batch(F, starts, max_iter=_DESCENT_GN_ITER)
+    w, _, conv, _, _ = project_batch(F, starts, max_iter=_DESCENT_GN_ITER)
     ok = conv.copy()
     dist = np.where(ok, np.linalg.norm(w - tgt, axis=1), np.inf)
     eta = np.full(w.shape[0], 0.5)
@@ -285,7 +288,7 @@ def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
         g = zi - tgt[idx]
         tang = g - (Q @ (np.conj(np.swapaxes(Q, -1, -2)) @ g[..., None]))[..., 0]
         trial = zi - eta[idx, None] * tang
-        cand, cres, cconv, _ = project_batch(F, trial, max_iter=_DESCENT_GN_ITER)
+        cand, _, cconv, _, _ = project_batch(F, trial, max_iter=_DESCENT_GN_ITER)
         cdist = np.where(cconv, np.linalg.norm(cand - tgt[idx], axis=1), np.inf)
         better = cdist < dist[idx] - 1e-14
         imp = idx[better]

@@ -291,6 +291,16 @@ def test_centerlaw_outputs(tmp_path):
     assert doc["coord_abs_sq"][0] == 0.0
 
 
+def test_centerlaw_with_one_path_exits_1(tmp_path, capsys):
+    # one path has no sample standard error; NaN is not valid JSON
+    cfg = {"map": AFFINE, "seed": 2, "T": 0.1, "h": 5e-3, "n_paths": 1}
+    rc = cli.main(["centerlaw", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "c")])
+    assert rc == 1
+    assert read_stderr_payload(capsys)["error"] == "ValidationError"
+    assert not (tmp_path / "c" / "centerlaw_moments.json").exists()
+
+
 def test_tilt_sweep(tmp_path):
     cfg = {"seed": 4, "n_instances": 10}
     rc = cli.main(["tilt", "--config", write_config(tmp_path, cfg),

@@ -3,6 +3,7 @@ import pytest
 
 from fiberloc import (
     LocalizationState,
+    PolynomialMap,
     QuadraticPotential,
     StateError,
     ValidationError,
@@ -20,7 +21,8 @@ from fiberloc import (
     step,
     terminal_gaussian,
 )
-from fiberloc.polymap import residual_norm
+from fiberloc.localize import LAMBDA_MIN_FLOOR
+from fiberloc.polymap import eval_jacobian, residual_norm
 
 
 def make_state(F, a, B, t=0.0):
@@ -339,3 +341,72 @@ def test_run_rejects_bad_parameters():
         run_paths(F, T=-1.0, h=1e-3, seed=0, n_paths=1)
     with pytest.raises(ValidationError):
         run_paths(F, T=1.0, h=0.0, seed=0, n_paths=1)
+    with pytest.raises(ValidationError):
+        run_paths(F, T=1.0, h=1e-2, seed=0, n_paths=0)
+    with pytest.raises(ValidationError):
+        run_paths(F, T=1.0, h=1e-2, seed=0, n_paths=1, record_every=0)
+
+
+# ---------------------------------------------------------------------------
+# Codimension two: the k x k solve of the step kernel
+
+def codim2_map():
+    """f = (z_3 - z_1^2, z_2 - z_1 z_2 / 2 - z_1) in C^3, through 0; its
+    Jacobian has rank 2 everywhere on the zero set."""
+    return PolynomialMap(3, 2, [
+        [(1.0, [0, 0, 1]), (-1.0, [2, 0, 0])],
+        [(1.0, [0, 1, 0]), (-0.5, [1, 1, 0]), (-1.0, [1, 0, 0])],
+    ], np.zeros(3))
+
+
+def codim2_state():
+    """A state of the codimension-two map at a point of its zero set, with
+    a random Hermitian matrix B >= Id."""
+    z1 = 0.4 - 0.3j
+    z2 = z1 / (1 - z1 / 2)
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    B = np.eye(3) + G @ G.conj().T
+    return make_state(codim2_map(), [z1, z2, z1 ** 2], B)
+
+
+def reference_pieces(F, st):
+    """(B^{1/2}, B^{-1/2}, pi) from scipy.linalg.sqrtm and a QR of the
+    rotated gradient subspace B^{-1/2} J^*."""
+    from scipy.linalg import sqrtm
+    Bh = sqrtm(st.B)
+    Bih = np.linalg.inv(Bh)
+    Q, _ = np.linalg.qr(Bih @ eval_jacobian(F, st.a).conj().T)
+    return Bh, Bih, np.eye(F.n) - Q @ Q.conj().T
+
+
+def test_codim2_sigma_matches_square_root_reference():
+    F = codim2_map()
+    st = codim2_state()
+    S = sigma_of_state(st, F)
+    _, Bih, pi = reference_pieces(F, st)
+    ref = Bih @ pi @ Bih / F.n
+    assert np.allclose(S @ S.conj().T, ref, rtol=1e-12, atol=0)
+    assert np.linalg.norm(eval_jacobian(F, st.a) @ S) <= 1e-10
+
+
+def test_codim2_step_increment_matches_square_root_reference():
+    F = codim2_map()
+    st = codim2_state()
+    h = 1e-2
+    nxt = step(st, F, h, brownian_increment(path_rng(6, 0), h, 3))
+    Bh, _, pi = reference_pieces(F, st)
+    inc = (h / F.n) * Bh @ pi @ Bh
+    assert np.allclose(nxt.B - st.B, inc, rtol=0, atol=1e-13 * np.linalg.norm(st.B))
+
+
+def test_codim2_paths_stay_valid():
+    F = codim2_map()
+    out = run_paths(F, T=1.0, h=2e-3, seed=23, n_paths=20, record_every=1)
+    assert out.n_aborted == 0
+    # every step: centers on the zero set, B above Id, trace bounded
+    assert np.all(out.record_post_residual <= 1e-10)
+    assert np.all(out.record_lambda_min >= LAMBDA_MIN_FLOOR)
+    assert np.all(out.record_trace <= 3 * np.exp(out.record_t)[:, None] * (1 + 1e-6))
+    for i in range(20):
+        out.state(i).validate()

@@ -185,17 +185,35 @@ def test_projection_raises_on_singularity():
         project_to_fiber(F, np.zeros(2))
 
 
-def test_projection_refuses_a_non_finite_residual():
+def test_projection_refuses_a_non_finite_residual(monkeypatch):
     # f = z_2 - z_1^300 + z_1^299 overflows to inf - inf = NaN at (12, 0);
-    # a NaN residual is not on the zero set, so no start there is feasible
+    # a NaN residual is not on the zero set, so no start there is feasible,
+    # and since nothing can converge from it no Jacobian is evaluated
+    from fiberloc import polymap
     F = PolynomialMap(2, 1, [[(1.0, [0, 1]), (-1.0, [300, 0]), (1.0, [299, 0])]],
                       [0.0, 0.0])
     z = np.array([[12.0, 0.0]], dtype=complex)
+    calls = []
+
+    def counted(F, z):
+        calls.append(z)
+        return eval_jacobian(F, z)
+
+    monkeypatch.setattr(polymap, "eval_jacobian", counted)
     with np.errstate(all="ignore"):
-        _, _, converged, _ = project_batch(F, z)
+        _, _, converged, singular, _ = project_batch(F, z)
+        assert calls == []
         _, dist, ok = minimize_fiber_distance(F, z, z)
-    assert not converged[0]
+    assert not converged[0] and not singular[0]
     assert not ok[0] and dist[0] == np.inf
+
+
+def test_projection_returns_the_starting_residuals():
+    F = hyperbola_map()
+    z = np.array([[1.1, 1.0], [2.0, 0.5], [0.3j, 1.0]])
+    _, res, converged, _, start = project_batch(F, z)
+    assert np.array_equal(start, residual_norm(F, z))
+    assert np.all(converged) and np.all(res <= 1e-10)
 
 
 def test_projection_moves_little_when_close():
