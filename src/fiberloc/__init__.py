@@ -60,7 +60,6 @@ from .polymap import (
     distance_to_origin,
     eval_jacobian,
     eval_map,
-    gradient_subspace,
     hyperbola_map,
     paraboloid_map,
     project_to_fiber,

@@ -233,7 +233,7 @@ def cmd_tube(cfg, out: Path) -> int:
                                      norm_weights=weights)
         rows = [{"r": e.r, "p_hat": e.p_hat, "stderr": e.stderr,
                  "baseline": None, "margin": None, "verdict": "n/a"} for e in ests]
-        failures = ests[0].optimizer_failures
+        failures, unconverged = ests[0].optimizer_failures, ests[0].unconverged
         passed = True
         distance = None
     else:
@@ -242,7 +242,7 @@ def cmd_tube(cfg, out: Path) -> int:
         rows = [{"r": w.r, "p_hat": w.p_hat, "stderr": w.stderr,
                  "baseline": w.baseline, "margin": w.margin, "verdict": w.verdict}
                 for w in res.rows]
-        failures = res.optimizer_failures
+        failures, unconverged = res.optimizer_failures, res.unconverged
         passed = res.passed
         distance = res.distance
     doc = {
@@ -252,6 +252,7 @@ def cmd_tube(cfg, out: Path) -> int:
         "distance": distance,
         "rows": rows,
         "optimizer_failures": failures,
+        "unconverged": unconverged,
     }
     _write_json(out / "tube_results.json", doc)
     plot = ["# r p_hat stderr baseline"]

@@ -21,14 +21,20 @@ from .gaussgeom import affine_tube_measure, gaussian_expectation
 from .localize import path_rng, run_paths, standard_gaussian, terminal_gaussian
 from .polymap import PolynomialMap, minimize_fiber_distance, residual_norm
 
-# Sub-stream tags; path indices stay far below these.
+# Sub-stream tags; path indices stay far below these. The perturbed starts
+# of sample block b use the tag _TAG_STARTS + b.
 _TAG_SAMPLES = 2**48
-_TAG_STARTS = 2**48 + 1
+_TAG_STARTS = 2**49
 
 DEFAULT_STARTS = 9     # sample projection plus 8 perturbed starts
-# Samples per minimizer batch. Fixed, because the perturbed starts are
-# drawn from one stream that runs on across batches, so distances depend on it.
+# Samples per block of perturbed starts, each block drawn from its own
+# sub-stream, and samples per minimizer batch (rounded to whole blocks);
+# the distances depend on neither.
+_START_BLOCK = 256
 _CHUNK = 20000
+# A record_every beyond any step count: run_paths then records only the
+# final step, and the mixture and center-law checks read no records.
+_FINAL_RECORD_ONLY = 2**62
 
 
 def sample_std_complex(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
@@ -49,38 +55,53 @@ class TubeEstimate:
     n_hits: int
     norm_tag: str
     optimizer_failures: int = 0
+    unconverged: int = 0
+
+
+def _start_offsets(seed: int, lo: int, m: int, n_starts: int, n: int) -> np.ndarray:
+    """Standard complex offsets of the perturbed starts of points lo to
+    lo + m - 1, shape (n_starts - 1, m, n). Each block of _START_BLOCK
+    points draws its own from the sub-stream keyed by the block, point
+    after point, so a point's starts depend on its block alone."""
+    blocks = [sample_std_complex(path_rng(seed, _TAG_STARTS + b // _START_BLOCK),
+                                 (n_starts - 1) * min(_START_BLOCK, lo + m - b), n)
+              for b in range(lo, lo + m, _START_BLOCK)]
+    return np.concatenate(blocks).reshape(m, n_starts - 1, n).transpose(1, 0, 2)
 
 
 def fiber_distances(F: PolynomialMap, points: np.ndarray, seed: int,
                     n_starts: int = DEFAULT_STARTS,
-                    perturb_scale: float = 1.0) -> tuple[np.ndarray, int]:
+                    perturb_scale: float = 1.0) -> tuple[np.ndarray, int, int]:
     """Distance from each point to the zero set of F, by multi-start
     constrained minimization (upper bounds on the true distances).
 
     Start 0 is the Gauss-Newton projection of the point itself; the rest
-    are Gaussian perturbations at scale perturb_scale. Returns (dist,
-    n_failures) where failures are points for which no start stayed
-    feasible (their distance is +inf).
+    are Gaussian perturbations at scale perturb_scale (_start_offsets).
+    Returns (dist, n_failures, n_unconverged). Failures are points for
+    which no start stayed feasible; their distance is +inf. Unconverged
+    points are those whose closest start did not reach polymap.KKT_TOL;
+    they keep that start's distance, since a feasible point within r
+    already certifies a hit at radius r.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     N, n = pts.shape
-    rng = path_rng(seed, _TAG_STARTS)
     dist = np.empty(N)
-    failures = 0
-    for lo in range(0, N, _CHUNK):
-        blk = pts[lo:lo + _CHUNK]
+    failures = unconverged = 0
+    chunk = max(1, _CHUNK // _START_BLOCK) * _START_BLOCK
+    for lo in range(0, N, chunk):
+        blk = pts[lo:lo + chunk]
         m = blk.shape[0]
-        starts = np.tile(blk, (n_starts, 1))
-        if n_starts > 1:
-            pert = sample_std_complex(rng, (n_starts - 1) * m, n) * perturb_scale
-            starts[m:] += pert
         targets = np.tile(blk, (n_starts, 1))
-        _, d, ok = minimize_fiber_distance(F, targets, starts)
-        d = np.where(ok, d, np.inf).reshape(n_starts, m)
-        dmin = d.min(axis=0)
+        starts = targets.copy()
+        starts[m:] += perturb_scale * _start_offsets(seed, lo, m, n_starts, n).reshape(-1, n)
+        _, d, _, kkt = minimize_fiber_distance(F, targets, starts)
+        d, kkt = d.reshape(n_starts, m), kkt.reshape(n_starts, m)
+        arg = d.argmin(axis=0)
+        dmin, kmin = d[arg, np.arange(m)], kkt[arg, np.arange(m)]
         failures += int(np.sum(~np.isfinite(dmin)))
+        unconverged += int(np.sum(np.isfinite(dmin) & ~(kmin <= polymap.KKT_TOL)))
         dist[lo:lo + m] = dmin
-    return dist, failures
+    return dist, failures, unconverged
 
 
 def estimate_tube_grid(F: PolynomialMap, r_grid, N: int, seed: int,
@@ -110,15 +131,16 @@ def estimate_tube_grid(F: PolynomialMap, r_grid, N: int, seed: int,
         tag = "circled(" + ",".join(f"{x:g}" for x in w) + ")"
     else:
         Fw, pts, tag = F, samples, "euclidean"
-    dist, failures = fiber_distances(Fw, pts, seed, n_starts=n_starts,
-                                     perturb_scale=max(max(r_grid), 1e-2))
+    dist, failures, unconverged = fiber_distances(
+        Fw, pts, seed, n_starts=n_starts, perturb_scale=max(max(r_grid), 1e-2))
     estimates = []
     for r in r_grid:
         hits = int(np.sum(dist <= r))
         p_hat, stderr, _, _ = confidence_interval(hits, N)
         estimates.append(TubeEstimate(r=r, p_hat=p_hat, stderr=stderr, n_samples=N,
                                       n_hits=hits, norm_tag=tag,
-                                      optimizer_failures=failures))
+                                      optimizer_failures=failures,
+                                      unconverged=unconverged))
     return tuple(estimates)
 
 
@@ -145,6 +167,7 @@ class WaistResult:
     passed: bool
     distance: float
     optimizer_failures: int
+    unconverged: int
 
 
 def waist_check(F: PolynomialMap, r_grid, N: int, seed: int,
@@ -171,7 +194,8 @@ def waist_check(F: PolynomialMap, r_grid, N: int, seed: int,
                              baseline=baseline, margin=margin,
                              verdict="pass" if ok else "fail"))
     return WaistResult(rows=tuple(rows), passed=passed, distance=d,
-                       optimizer_failures=estimates[0].optimizer_failures)
+                       optimizer_failures=estimates[0].optimizer_failures,
+                       unconverged=estimates[0].unconverged)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +247,7 @@ def mixture_check(F: PolynomialMap, T: float, h: float, n_paths: int,
     if n_paths < 2:
         raise ValidationError("need at least 2 paths")
     _require_origin_base(F)
-    out = run_paths(F, T, h, seed, n_paths)
+    out = run_paths(F, T, h, seed, n_paths, record_every=_FINAL_RECORD_ONLY)
     live = _live_paths(out)
     mus = [terminal_gaussian(out.state(i, seed=seed), rank_tol=rank_tol, k=F.k)
            for i in live]
@@ -265,7 +289,7 @@ def center_law_sample(F: PolynomialMap, T: float, h: float, n_paths: int,
     linear fibers; fewer than 2 live paths raise ValidationError.
     """
     _require_origin_base(F)
-    out = run_paths(F, T, h, seed, n_paths)
+    out = run_paths(F, T, h, seed, n_paths, record_every=_FINAL_RECORD_ONLY)
     samples = out.a[_live_paths(out)]
     res = np.atleast_1d(residual_norm(F, samples))
     if not np.all(res <= polymap.FIBER_TOL):

@@ -18,6 +18,20 @@ FIBER_TOL = 1e-10
 RANK_TOL = 1e-8
 
 
+def _derivative_table(exps: np.ndarray, coeffs: np.ndarray):
+    """The monomial table of the partial derivatives of a table's columns.
+
+    Each monomial holding z_l gives one row: that exponent lowered by one,
+    its coefficients times the old exponent in the columns (c, l). A table
+    with C columns gives one with C * n.
+    """
+    n = exps.shape[1]
+    held = exps > 0
+    d_exps = (exps[:, None, :] - np.eye(n, dtype=np.int64))[held]
+    d_coeffs = np.einsum("mc,ml,lq->mlcq", coeffs, exps, np.eye(n))[held]
+    return d_exps, d_coeffs.reshape(len(d_exps), coeffs.shape[1] * n)
+
+
 def _as_points(z: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
@@ -64,15 +78,15 @@ class PolynomialMap:
         self._exps = np.array(list(rows), dtype=np.int64).reshape(-1, n)
         self._coeffs = np.array(list(rows.values()), dtype=complex).reshape(-1, k)
         self._deg = int(self._exps.max(initial=0))
-        # Df from the same table: each monomial holding z_l, with that exponent
-        # lowered by one and its coefficients times the old one in columns (j, l).
-        held = self._exps > 0
-        d_exps = (self._exps[:, None, :] - np.eye(n, dtype=np.int64))[held]
-        d_coeffs = np.einsum("mj,ml,lq->mljq", self._coeffs, self._exps, np.eye(n))[held]
+        # Df is the derivative table of f's, and the second derivatives that
+        # of Df's: columns (j, l) and (j, l, m) for d f_j / dz_l and
+        # d^2 f_j / dz_l dz_m.
+        tables = [(self._exps, self._coeffs)]
+        for _ in range(2):
+            tables.append(_derivative_table(*tables[-1]))
         # A plan: per variable l, each monomial's row d * n + l in the power table.
-        self._f_plan, self._df_plan = [
-            (np.ascontiguousarray((e * n + np.arange(n)).T), c) for e, c in
-            ((self._exps, self._coeffs), (d_exps, d_coeffs.reshape(-1, k * n)))]
+        self._f_plan, self._df_plan, self._d2f_plan = [
+            (np.ascontiguousarray((e * n + np.arange(n)).T), c) for e, c in tables]
 
         self.base_point = np.asarray(base_point, dtype=complex).reshape(n)
         res = float(np.linalg.norm(eval_map(self, self.base_point)))
@@ -159,30 +173,18 @@ def eval_jacobian(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-1] + (F.k, F.n))
 
 
+def eval_hessian(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
+    """Exact second derivatives (d^2 f_j / dz_l dz_m) at z; shape (k, n, n)
+    or (P, k, n, n)."""
+    out = _eval_plan(F, z, F._d2f_plan)
+    return out.reshape(out.shape[:-1] + (F.k, F.n, F.n))
+
+
 def residual_norm(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
     """|f(z)| as a float (single point) or (P,) array."""
     v = eval_map(F, z)
     r = np.linalg.norm(np.atleast_2d(v), axis=1)
     return float(r[0]) if v.ndim == 1 else r
-
-
-def gradient_subspace(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (n, k) of span{(grad f_j(z))^*}.
-
-    This is the subspace the diffusion must annihilate to conserve f along
-    a path. Raises SingularityError on Jacobian rank collapse (sigma_min
-    below RANK_TOL).
-    """
-    J = eval_jacobian(F, z)
-    if J.ndim != 2:
-        raise ValidationError("gradient_subspace takes a single point")
-    smin = np.linalg.svd(J, compute_uv=False)[-1]
-    if smin < RANK_TOL:
-        raise SingularityError(
-            f"Jacobian rank-deficient (sigma_min={smin:.3e}); near a singular point"
-        )
-    Q, _ = np.linalg.qr(J.conj().T)
-    return Q
 
 
 # ---------------------------------------------------------------------------
@@ -258,44 +260,128 @@ class DistanceResult:
     n_starts_converged: int
 
 
-# Descent iterations of minimize_fiber_distance, and the Gauss-Newton
+# The Newton iterations of minimize_fiber_distance, and the Gauss-Newton
 # iterations of each re-projection.
-_DESCENT_ITER = 60
-_DESCENT_GN_ITER = 30
+_NEWTON_ITER = 60
+_NEWTON_GN_ITER = 30
+# A pair is stationary once its tangential gradient |P_T(w - x)| is at most
+# KKT_TOL. The reduced Hessian is shifted until its smallest eigenvalue is
+# at least _CURVATURE_FLOOR; a pair whose step length halves below
+# _STEP_MIN without an accepted trial stops.
+KKT_TOL = 1e-9
+_CURVATURE_FLOOR = 1e-2
+_STEP_MIN = 2.0**-20
+_ARMIJO = 1e-4
+# Rows per Newton-step block, which bounds the step's temporaries; every
+# row's step depends on that row alone.
+_NEWTON_BLOCK = 2048
+
+
+def _newton_step(F: PolynomialMap, w: np.ndarray, g: np.ndarray):
+    """The tangential gradient norm, a Newton step and its slope at the
+    feasible points w, where g = w - x.
+
+    With J^* = Q R (complete QR), the last n - k columns N of Q span the
+    tangent space ker J, mu = R^{-1} Q_1^* g is the least-squares multiplier
+    and c = N^* g the tangential gradient t in that basis. The reduced KKT
+    system for the step N u is u - conj(S u) = -c, with S = N^T H N and
+    H = sum_j conj(mu_j) Hess f_j. As a real system of size 2(n - k) its
+    matrix I + A has eigenvalues 1 +- sigma_i(S); it is shifted to
+    rho I + A with rho = max(1, sigma_max + _CURVATURE_FLOOR), so every
+    eigenvalue is at least the floor and the step descends even where the
+    reduced Hessian is indefinite. Since A^2 is S^* S, the shifted system
+    is solved as u = -(rho y + conj(S y)), (rho^2 - S^* S) y = c, by one
+    Hermitian eigendecomposition of size n - k. The step is shortened to
+    at most |g|. A row whose R has a diagonal entry below RANK_TOL gets
+    |t| = inf; a row whose S is not finite takes the gradient step -t.
+    The slope is Re<t, step>.
+    """
+    P, n, k = w.shape[0], F.n, F.k
+    Jh = np.conj(np.swapaxes(eval_jacobian(F, w), -1, -2))
+    Q, R = np.linalg.qr(Jh, mode="complete")
+    c = (np.conj(np.swapaxes(Q, -1, -2)) @ g[..., None])[..., 0]
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    regular = np.abs(diag).min(axis=1) >= RANK_TOL
+    diag = np.where(regular[:, None], diag, 1.0)
+    mu = np.zeros((P, k), dtype=complex)
+    for i in reversed(range(k)):
+        mu[:, i] = (c[:, i] - np.sum(R[:, i, i + 1:k] * mu[:, i + 1:], axis=1)) / diag[:, i]
+    H = np.einsum("pj,pjlq->plq", np.conj(mu), eval_hessian(F, w))
+    N = Q[:, :, k:]
+    S = np.swapaxes(N, -1, -2) @ H @ N
+    S[~np.isfinite(S).all(axis=(1, 2))] = 0
+    sig2, W = np.linalg.eigh(np.conj(np.swapaxes(S, -1, -2)) @ S)
+    rho = np.maximum(1.0, np.sqrt(np.maximum(sig2[:, -1], 0)) + _CURVATURE_FLOOR)
+    ct = c[:, k:]
+    y = (W @ ((np.conj(np.swapaxes(W, -1, -2)) @ ct[..., None])[..., 0]
+              / (rho[:, None] ** 2 - sig2))[..., None])[..., 0]
+    u = -(rho[:, None] * y + np.conj((S @ y[..., None])[..., 0]))
+    step = (N @ u[..., None])[..., 0]
+    slope = np.sum(ct.real * u.real + ct.imag * u.imag, axis=1)
+    shrink = np.minimum(1.0, np.linalg.norm(g, axis=1)
+                        / np.maximum(np.linalg.norm(step, axis=1), 1e-300))
+    tn = np.where(regular, np.linalg.norm(ct, axis=1), np.inf)
+    return tn, step * shrink[:, None], slope * shrink
 
 
 def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
                             starts: np.ndarray):
-    """Locally minimize |w - target| subject to f(w) = 0 from given starts.
+    """Locally minimize |w - x| subject to f(w) = 0, for each target x
+    from its start.
 
-    targets and starts are stacks of the same length. Projected gradient
-    descent with per-point backtracking; every iterate is re-projected.
-    Returns (w, dist, ok) with ok flagging starts whose projection stayed
-    feasible.
+    targets and starts are stacks of the same length. Newton's method on
+    the KKT system (w - x) - J(w)^* mu = 0, f(w) = 0, reduced to the
+    tangent space of the zero set (_newton_step), with steps no longer
+    than |w - x|. Every trial is re-projected by Gauss-Newton
+    (project_batch) and taken when it is feasible and passes an Armijo
+    test on |w - x|^2 whose slack, 2 |w - x| FIBER_TOL, admits the final
+    steps that move w by the fiber tolerance; otherwise the step length
+    halves. A pair stops once its tangential gradient is at most KKT_TOL.
+
+    Returns (w, dist, ok, kkt). w is the closest feasible point the pair
+    visited, or its stationary last iterate when that is at most FIBER_TOL
+    farther, and dist its distance: every finite distance is attained by a
+    point with |f| <= FIBER_TOL. ok flags the starts whose projection was
+    feasible (dist is +inf elsewhere). kkt is the tangential gradient norm
+    at w, +inf where it could not be computed; the pair converged when
+    kkt <= KKT_TOL.
     """
     tgt = np.atleast_2d(np.asarray(targets, dtype=complex))
-    w, _, conv, _, _ = project_batch(F, starts, max_iter=_DESCENT_GN_ITER)
-    ok = conv.copy()
+    w, _, ok, _, _ = project_batch(F, starts, max_iter=_NEWTON_GN_ITER)
     dist = np.where(ok, np.linalg.norm(w - tgt, axis=1), np.inf)
-    eta = np.full(w.shape[0], 0.5)
-    for _ in range(_DESCENT_ITER):
-        idx = np.nonzero(ok & (eta > 1e-6))[0]
+    best_w, best = w.copy(), dist.copy()
+    kkt = np.full(w.shape[0], np.inf)
+    at_best = ok.copy()
+    alpha = np.ones(w.shape[0])
+    active = ok.copy()
+    for it in range(_NEWTON_ITER + 1):
+        idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        zi = w[idx]
-        J = eval_jacobian(F, zi)
-        Q, _ = np.linalg.qr(np.conj(np.swapaxes(J, -1, -2)))
-        g = zi - tgt[idx]
-        tang = g - (Q @ (np.conj(np.swapaxes(Q, -1, -2)) @ g[..., None]))[..., 0]
-        trial = zi - eta[idx, None] * tang
-        cand, _, cconv, _, _ = project_batch(F, trial, max_iter=_DESCENT_GN_ITER)
-        cdist = np.where(cconv, np.linalg.norm(cand - tgt[idx], axis=1), np.inf)
-        better = cdist < dist[idx] - 1e-14
-        imp = idx[better]
-        w[imp] = cand[better]
-        dist[imp] = cdist[better]
-        eta[idx[~better]] *= 0.5
-    return w, dist, ok
+        parts = [_newton_step(F, w[b], w[b] - tgt[b]) for b in
+                 np.split(idx, range(_NEWTON_BLOCK, idx.size, _NEWTON_BLOCK))]
+        tn, step, slope = (np.concatenate(p) for p in zip(*parts))
+        stationary = tn <= KKT_TOL
+        here = at_best[idx] | (stationary & (dist[idx] <= best[idx] + FIBER_TOL))
+        j = idx[here]
+        best_w[j], best[j], kkt[j] = w[j], dist[j], tn[here]
+        go = ~stationary & np.isfinite(tn) & (it < _NEWTON_ITER)
+        active[idx[~go]] = False
+        idx, step, slope = idx[go], step[go], slope[go]
+        if idx.size == 0:
+            break
+        a, d = alpha[idx], dist[idx]
+        cand, _, feasible, _, _ = project_batch(F, w[idx] + a[:, None] * step,
+                                                max_iter=_NEWTON_GN_ITER)
+        cd = np.linalg.norm(cand - tgt[idx], axis=1)
+        take = feasible & (cd * cd <= d * d + 2 * _ARMIJO * a * slope
+                           + 2 * d * FIBER_TOL)
+        moved = idx[take]
+        w[moved], dist[moved], alpha[moved] = cand[take], cd[take], 1.0
+        at_best[moved] = cd[take] < best[moved]
+        alpha[idx[~take]] *= 0.5
+        active[idx[~take & (alpha[idx] < _STEP_MIN)]] = False
+    return best_w, best, ok, kkt
 
 
 def distance_to_origin(F: PolynomialMap, n_starts: int = 16,
@@ -303,23 +389,22 @@ def distance_to_origin(F: PolynomialMap, n_starts: int = 16,
     """Upper bound on inf{|z| : f(z) = 0} from multi-start local minimization.
 
     The starts are the base point plus n_starts - 1 Gaussian perturbations
-    of it. The reported value can only decrease when starts are added.
+    of it. The reported value can only decrease when starts are added; the
+    optimality residual is the minimizer's tangential gradient norm at the
+    argmin.
     """
     rng = np.random.default_rng(seed)
     pert = rng.standard_normal((n_starts - 1, 2 * F.n))
     pert = pert[:, : F.n] + 1j * pert[:, F.n:]
     starts = np.vstack([F.base_point[None, :], F.base_point[None, :] + pert])
-    w, dist, ok = minimize_fiber_distance(F, np.zeros_like(starts), starts)
+    w, dist, ok, kkt = minimize_fiber_distance(F, np.zeros_like(starts), starts)
     if not np.any(ok):
         raise ProjectionError("no start could be projected onto the zero set")
     best = int(np.argmin(dist))
-    z = w[best]
-    Q = gradient_subspace(F, z)
-    tang = z - Q @ (Q.conj().T @ z)
     return DistanceResult(
         value=float(dist[best]),
-        argmin=z,
-        optimality_residual=float(np.linalg.norm(tang)),
+        argmin=w[best],
+        optimality_residual=float(kkt[best]),
         n_starts_converged=int(np.sum(ok)),
     )
 

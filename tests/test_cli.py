@@ -108,12 +108,15 @@ def test_out_of_schema_override_exits_1(tmp_path, capsys, override):
 
 
 def test_infinite_step_count_exits_1(tmp_path, capsys):
-    # T and h each pass the schema, but T / h overflows to infinity
-    cfg = {"map": AFFINE, "seed": 5, "T": 0.5, "h": 5e-3}
-    rc = cli.main(["localize", "--config", write_config(tmp_path, cfg),
-                   "--out", str(tmp_path / "o"), "--T", "1e300", "--h", "1e-300"])
-    assert rc == 1
-    assert read_stderr_payload(capsys)["error"] == "ValidationError"
+    # T and h each pass the schema, but T / h overflows to infinity; the
+    # mixture and center-law checks must not count steps before run_paths
+    # has refused the ratio
+    for command in ("localize", "mixture", "centerlaw"):
+        cfg = {"map": AFFINE, "seed": 5, "T": 0.5, "h": 5e-3, "n_paths": 4}
+        rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / command), "--T", "1e300", "--h", "1e-300"])
+        assert rc == 1
+        assert read_stderr_payload(capsys)["error"] == "ValidationError"
 
 
 @pytest.mark.parametrize("components", [[[]], [HYPERBOLA["components"][0], []]],

@@ -17,7 +17,9 @@ from fiberloc import (
     paraboloid_map,
     waist_check,
 )
+from fiberloc import mc
 from fiberloc.mc import fiber_distances
+from fiberloc.polymap import PolynomialMap
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +86,21 @@ def test_tube_hits_monotone_in_starts():
 def test_fiber_distances_affine_exact():
     F = affine_map(2, offset=1.0)
     pts = np.array([[0.0, 5.0], [1.0 + 1.0j, -2.0], [3.0, 0.0]], dtype=complex)
-    d, failures = fiber_distances(F, pts, seed=0)
-    assert failures == 0
+    d, failures, unconverged = fiber_distances(F, pts, seed=0)
+    assert failures == 0 and unconverged == 0
     assert np.allclose(d, [1.0, 1.0, 2.0], atol=1e-8)
+
+
+def test_fiber_distances_do_not_depend_on_the_chunk(monkeypatch):
+    # the perturbed starts are keyed by block of samples, not drawn from one
+    # stream that runs on across minimizer batches
+    F = hyperbola_map()
+    pts = mc.sample_std_complex(np.random.default_rng(19), 1000, 2)
+    default = fiber_distances(F, pts, seed=4, perturb_scale=2.0)
+    monkeypatch.setattr(mc, "_CHUNK", 300)
+    chunked = fiber_distances(F, pts, seed=4, perturb_scale=2.0)
+    assert np.array_equal(default[0], chunked[0])
+    assert default[1:] == chunked[1:]
 
 
 def test_tube_estimate_circled_norm_affine_oracle():
@@ -144,6 +158,18 @@ def test_waist_hyperbola_beats_baseline():
     assert out.distance == pytest.approx(np.sqrt(2.0), abs=1e-5)
     # the curved fiber accumulates strictly more mass at moderate radii
     assert out.rows[1].margin > 0
+
+
+def test_waist_codimension_two():
+    # f = (z_3 - z_1^2, z_1 z_2 - 1) in C^3; the first tube test with k = 2,
+    # and the first use of the second-derivative plan with more than one
+    # component
+    F = PolynomialMap(3, 2, [[(1.0, [0, 0, 1]), (-1.0, [2, 0, 0])],
+                             [(1.0, [1, 1, 0]), (-1.0, [0, 0, 0])]], [1.0, 1.0, 1.0])
+    out = waist_check(F, r_grid=[0.5, 1.0, 2.0], N=2000, seed=5)
+    assert out.passed
+    assert out.optimizer_failures == 0 and out.unconverged == 0
+    assert out.distance == pytest.approx(1.6158, abs=1e-3)
 
 
 def test_waist_rows_monotone_in_radius():

@@ -10,12 +10,18 @@ from fiberloc import (
     distance_to_origin,
     eval_jacobian,
     eval_map,
-    gradient_subspace,
     hyperbola_map,
     paraboloid_map,
     project_to_fiber,
 )
-from fiberloc.polymap import minimize_fiber_distance, project_batch, residual_norm
+from fiberloc.polymap import (
+    FIBER_TOL,
+    KKT_TOL,
+    eval_hessian,
+    minimize_fiber_distance,
+    project_batch,
+    residual_norm,
+)
 
 
 def random_cubic_map(seed=0):
@@ -117,6 +123,24 @@ def test_jacobian_matches_finite_differences():
             assert np.allclose(J[:, ell], fd, atol=1e-7, rtol=1e-7)
 
 
+def test_hessian_matches_finite_differences():
+    # central differences of the exact Jacobian along each coordinate
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    h = 1e-6
+    for F in (random_cubic_map(), quintic_map()):
+        H = eval_hessian(F, z)
+        assert H.shape == (2, 3, 3)
+        assert np.allclose(H, np.swapaxes(H, -1, -2), rtol=1e-13, atol=1e-13)
+        for m in range(3):
+            e = np.zeros(3, dtype=complex)
+            e[m] = h
+            fd = (eval_jacobian(F, z + e) - eval_jacobian(F, z - e)) / (2 * h)
+            assert np.allclose(H[:, :, m], fd, atol=1e-6, rtol=1e-6)
+        stacked = eval_hessian(F, np.stack([z, 2 * z]))
+        assert np.allclose(stacked[0], H) and np.allclose(stacked[1], eval_hessian(F, 2 * z))
+
+
 def test_residual_norm_shapes():
     F = hyperbola_map()
     assert isinstance(residual_norm(F, [1.0, 1.0]), float)
@@ -124,41 +148,6 @@ def test_residual_norm_shapes():
     assert r.shape == (2,)
     assert r[0] == pytest.approx(0.0, abs=1e-14)
     assert r[1] == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
-# Gradient subspace
-
-def test_gradient_subspace_coordinate_fiber():
-    F = affine_map(2)
-    Q = gradient_subspace(F, np.zeros(2))
-    P = Q @ Q.conj().T
-    assert np.allclose(P, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_gradient_subspace_hyperbola_diagonal():
-    F = hyperbola_map()
-    Q = gradient_subspace(F, [1.0, 1.0])
-    P = Q @ Q.conj().T
-    assert np.allclose(P, np.full((2, 2), 0.5), atol=1e-12)
-
-
-def test_gradient_subspace_spans_conjugate_jacobian():
-    F = random_cubic_map()
-    z = F.base_point
-    Q = gradient_subspace(F, z)
-    assert Q.shape == (3, 2)
-    assert np.allclose(Q.conj().T @ Q, np.eye(2), atol=1e-12)
-    Jh = eval_jacobian(F, z).conj().T
-    leftover = Jh - Q @ (Q.conj().T @ Jh)
-    assert np.linalg.norm(leftover) <= 1e-10 * np.linalg.norm(Jh)
-
-
-def test_gradient_subspace_raises_at_singular_point():
-    # f = z_1 z_2 has a rank-0 Jacobian at the origin
-    F = PolynomialMap(2, 1, [[(1.0, [1, 1])]], [0.0, 1.0])
-    with pytest.raises(SingularityError):
-        gradient_subspace(F, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +192,7 @@ def test_projection_refuses_a_non_finite_residual(monkeypatch):
     with np.errstate(all="ignore"):
         _, _, converged, singular, _ = project_batch(F, z)
         assert calls == []
-        _, dist, ok = minimize_fiber_distance(F, z, z)
+        _, dist, ok, _ = minimize_fiber_distance(F, z, z)
     assert not converged[0] and not singular[0]
     assert not ok[0] and dist[0] == np.inf
 
@@ -255,6 +244,27 @@ def test_distance_decreases_with_more_starts():
     many = distance_to_origin(F, n_starts=16, seed=5)
     assert many.value <= few.value + 1e-12
     assert many.n_starts_converged >= few.n_starts_converged
+
+
+def test_minimizer_masks_a_singular_row():
+    # f = z_1 z_2 has a rank-0 Jacobian at the origin; a start there is
+    # feasible but cannot take a Newton step, and must not stop the others
+    F = PolynomialMap(2, 1, [[(1.0, [1, 1])]], [1.0, 0.0])
+    rng = np.random.default_rng(21)
+    targets = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    starts = targets + 0.3 * (rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))
+    starts[2] = 0.0
+    w, dist, ok, kkt = minimize_fiber_distance(F, targets, starts)
+    assert np.all(ok)
+    assert dist[2] == pytest.approx(np.linalg.norm(targets[2]))
+    assert not kkt[2] <= KKT_TOL
+    for i in (0, 1, 3, 4):
+        _, alone, _, kkt_alone = minimize_fiber_distance(F, targets[i:i + 1], starts[i:i + 1])
+        assert dist[i] == alone[0] and kkt[i] == kkt_alone[0]
+        assert kkt[i] <= KKT_TOL
+    finite = np.isfinite(dist)
+    assert np.all(residual_norm(F, w[finite]) <= FIBER_TOL)
+    assert np.allclose(dist[finite], np.linalg.norm(w - targets, axis=1)[finite], rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
