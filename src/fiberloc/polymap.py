@@ -1,7 +1,8 @@
 """Holomorphic polynomial maps C^n -> C^k and their zero sets.
 
 A map is stored as one monomial table (exponent rows, a coefficient column
-per component); f and its exact Jacobian are two plans over that table.
+per component); f, its exact Jacobian and its second derivatives are
+plans over that table, the last built on first use.
 The zero set is traversed with Gauss-Newton projection; all point-wise
 operations accept either a single point (n,) or a stack (P, n).
 """
@@ -30,6 +31,13 @@ def _derivative_table(exps: np.ndarray, coeffs: np.ndarray):
     d_exps = (exps[:, None, :] - np.eye(n, dtype=np.int64))[held]
     d_coeffs = np.einsum("mc,ml,lq->mlcq", coeffs, exps, np.eye(n))[held]
     return d_exps, d_coeffs.reshape(len(d_exps), coeffs.shape[1] * n)
+
+
+def _plan(exps: np.ndarray, coeffs: np.ndarray):
+    """An evaluation plan of a table: per variable l, each monomial's row
+    d * n + l in the power table, and the coefficients."""
+    n = exps.shape[1]
+    return np.ascontiguousarray((exps * n + np.arange(n)).T), coeffs
 
 
 def _as_points(z: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
@@ -78,15 +86,13 @@ class PolynomialMap:
         self._exps = np.array(list(rows), dtype=np.int64).reshape(-1, n)
         self._coeffs = np.array(list(rows.values()), dtype=complex).reshape(-1, k)
         self._deg = int(self._exps.max(initial=0))
-        # Df is the derivative table of f's, and the second derivatives that
-        # of Df's: columns (j, l) and (j, l, m) for d f_j / dz_l and
-        # d^2 f_j / dz_l dz_m.
-        tables = [(self._exps, self._coeffs)]
-        for _ in range(2):
-            tables.append(_derivative_table(*tables[-1]))
-        # A plan: per variable l, each monomial's row d * n + l in the power table.
-        self._f_plan, self._df_plan, self._d2f_plan = [
-            (np.ascontiguousarray((e * n + np.arange(n)).T), c) for e, c in tables]
+        # Df is the derivative table of f's, columns (j, l) for d f_j / dz_l.
+        # The second derivatives, that of Df's, are derived on first use
+        # (eval_hessian): only the closest-point solver needs them.
+        self._df_table = _derivative_table(self._exps, self._coeffs)
+        self._f_plan = _plan(self._exps, self._coeffs)
+        self._df_plan = _plan(*self._df_table)
+        self._d2f_plan = None
 
         self.base_point = np.asarray(base_point, dtype=complex).reshape(n)
         res = float(np.linalg.norm(eval_map(self, self.base_point)))
@@ -175,7 +181,9 @@ def eval_jacobian(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
 
 def eval_hessian(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
     """Exact second derivatives (d^2 f_j / dz_l dz_m) at z; shape (k, n, n)
-    or (P, k, n, n)."""
+    or (P, k, n, n); columns (j, l, m) of the derivative table of Df."""
+    if F._d2f_plan is None:
+        F._d2f_plan = _plan(*_derivative_table(*F._df_table))
     out = _eval_plan(F, z, F._d2f_plan)
     return out.reshape(out.shape[:-1] + (F.k, F.n, F.n))
 
@@ -294,6 +302,7 @@ def _newton_step(F: PolynomialMap, w: np.ndarray, g: np.ndarray):
     Hermitian eigendecomposition of size n - k. The step is shortened to
     at most |g|. A row whose R has a diagonal entry below RANK_TOL gets
     |t| = inf; a row whose S is not finite takes the gradient step -t.
+    Where k = n the tangent space is {0}: |t| = 0 and the step is zero.
     The slope is Re<t, step>.
     """
     P, n, k = w.shape[0], F.n, F.k
@@ -311,7 +320,9 @@ def _newton_step(F: PolynomialMap, w: np.ndarray, g: np.ndarray):
     S = np.swapaxes(N, -1, -2) @ H @ N
     S[~np.isfinite(S).all(axis=(1, 2))] = 0
     sig2, W = np.linalg.eigh(np.conj(np.swapaxes(S, -1, -2)) @ S)
-    rho = np.maximum(1.0, np.sqrt(np.maximum(sig2[:, -1], 0)) + _CURVATURE_FLOOR)
+    # sigma_max^2, 0 where k = n and the tangent space is {0}
+    rho = np.maximum(1.0, np.sqrt(np.maximum(sig2.max(axis=1, initial=0.0), 0))
+                     + _CURVATURE_FLOOR)
     ct = c[:, k:]
     y = (W @ ((np.conj(np.swapaxes(W, -1, -2)) @ ct[..., None])[..., 0]
               / (rho[:, None] ** 2 - sig2))[..., None])[..., 0]
@@ -336,7 +347,9 @@ def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
     (project_batch) and taken when it is feasible and passes an Armijo
     test on |w - x|^2 whose slack, 2 |w - x| FIBER_TOL, admits the final
     steps that move w by the fiber tolerance; otherwise the step length
-    halves. A pair stops once its tangential gradient is at most KKT_TOL.
+    halves; the step and its slope are computed once per iterate, so a
+    halving costs only the re-projection. A pair stops once its tangential
+    gradient is at most KKT_TOL.
 
     Returns (w, dist, ok, kkt). w is the closest feasible point the pair
     visited, or its stationary last iterate when that is at most FIBER_TOL
@@ -354,31 +367,36 @@ def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
     at_best = ok.copy()
     alpha = np.ones(w.shape[0])
     active = ok.copy()
+    # the Newton step and slope at each pair's current w, and the pairs
+    # that moved since they were computed
+    step = np.zeros_like(w)
+    slope = np.zeros(w.shape[0])
+    fresh = ok.copy()
     for it in range(_NEWTON_ITER + 1):
+        idx = np.nonzero(active & fresh)[0]
+        if idx.size:
+            parts = [_newton_step(F, w[b], w[b] - tgt[b]) for b in
+                     np.split(idx, range(_NEWTON_BLOCK, idx.size, _NEWTON_BLOCK))]
+            tn, step[idx], slope[idx] = (np.concatenate(p) for p in zip(*parts))
+            fresh[idx] = False
+            stationary = tn <= KKT_TOL
+            here = at_best[idx] | (stationary & (dist[idx] <= best[idx] + FIBER_TOL))
+            j = idx[here]
+            best_w[j], best[j], kkt[j] = w[j], dist[j], tn[here]
+            active[idx[stationary | ~np.isfinite(tn)]] = False
         idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        parts = [_newton_step(F, w[b], w[b] - tgt[b]) for b in
-                 np.split(idx, range(_NEWTON_BLOCK, idx.size, _NEWTON_BLOCK))]
-        tn, step, slope = (np.concatenate(p) for p in zip(*parts))
-        stationary = tn <= KKT_TOL
-        here = at_best[idx] | (stationary & (dist[idx] <= best[idx] + FIBER_TOL))
-        j = idx[here]
-        best_w[j], best[j], kkt[j] = w[j], dist[j], tn[here]
-        go = ~stationary & np.isfinite(tn) & (it < _NEWTON_ITER)
-        active[idx[~go]] = False
-        idx, step, slope = idx[go], step[go], slope[go]
-        if idx.size == 0:
+        if idx.size == 0 or it == _NEWTON_ITER:
             break
         a, d = alpha[idx], dist[idx]
-        cand, _, feasible, _, _ = project_batch(F, w[idx] + a[:, None] * step,
+        cand, _, feasible, _, _ = project_batch(F, w[idx] + a[:, None] * step[idx],
                                                 max_iter=_NEWTON_GN_ITER)
         cd = np.linalg.norm(cand - tgt[idx], axis=1)
-        take = feasible & (cd * cd <= d * d + 2 * _ARMIJO * a * slope
+        take = feasible & (cd * cd <= d * d + 2 * _ARMIJO * a * slope[idx]
                            + 2 * d * FIBER_TOL)
         moved = idx[take]
         w[moved], dist[moved], alpha[moved] = cand[take], cd[take], 1.0
         at_best[moved] = cd[take] < best[moved]
+        fresh[moved] = True
         alpha[idx[~take]] *= 0.5
         active[idx[~take & (alpha[idx] < _STEP_MIN)]] = False
     return best_w, best, ok, kkt

@@ -172,6 +172,18 @@ def test_waist_codimension_two():
     assert out.distance == pytest.approx(1.6158, abs=1e-3)
 
 
+def test_waist_point_zero_set():
+    # k = n: the zero set of f(z) = z - 0.5 in C^1 is one point, so the
+    # tangent space is {0} and every feasible start is already stationary;
+    # the baseline is exact
+    out = waist_check(affine_map(1, offset=0.5), r_grid=[0.5, 1.0, 1.5], N=5000, seed=6)
+    assert out.passed
+    assert out.optimizer_failures == 0 and out.unconverged == 0
+    assert out.distance == pytest.approx(0.5, abs=1e-12)
+    for row in out.rows:
+        assert abs(row.margin) <= 3 * max(row.stderr, 1e-3)
+
+
 def test_waist_rows_monotone_in_radius():
     out = waist_check(paraboloid_map(2), r_grid=[0.3, 0.6, 0.9, 1.2],
                       N=4000, seed=8, distance=0.0)

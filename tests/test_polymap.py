@@ -246,6 +246,25 @@ def test_distance_decreases_with_more_starts():
     assert many.n_starts_converged >= few.n_starts_converged
 
 
+def test_distance_point_zero_set():
+    # k = n = 2: f = (z_1^2 - 1, z_2 - z_1) vanishes only at +-(1, 1)
+    F = PolynomialMap(2, 2, [[(1.0, [2, 0]), (-1.0, [0, 0])],
+                             [(1.0, [0, 1]), (-1.0, [1, 0])]], [1.0, 1.0])
+    d = distance_to_origin(F)
+    assert d.value == pytest.approx(np.sqrt(2.0), abs=1e-9)
+    assert d.optimality_residual == 0.0
+    assert d.n_starts_converged == 16
+
+
+def test_hessian_plan_is_built_on_first_use():
+    F = random_cubic_map()
+    assert F._d2f_plan is None and F.rescaled(np.ones(3))._d2f_plan is None
+    z = np.array([0.3 + 0.1j, -0.7j, 1.2])
+    H = eval_hessian(F, z)
+    assert F._d2f_plan is not None
+    assert np.array_equal(eval_hessian(F, z), H)
+
+
 def test_minimizer_masks_a_singular_row():
     # f = z_1 z_2 has a rank-0 Jacobian at the origin; a start there is
     # feasible but cannot take a Newton step, and must not stop the others
