@@ -5,7 +5,6 @@ from .errors import (
     DomainError,
     PathAbort,
     ProjectionError,
-    SingularityError,
     StateError,
     ValidationError,
 )
@@ -28,15 +27,11 @@ from .localize import (
     ComplexGaussian,
     LocalizationState,
     QuadraticPotential,
-    brownian_increment,
     path_rng,
     potential_eval,
     run_path,
     run_paths,
-    sigma_of_state,
     standard_gaussian,
-    standard_potential,
-    step,
     terminal_gaussian,
 )
 from .mc import (
@@ -54,7 +49,6 @@ from .mc import (
 )
 from .polymap import (
     DistanceResult,
-    FiberPoint,
     PolynomialMap,
     affine_map,
     distance_to_origin,
@@ -62,7 +56,6 @@ from .polymap import (
     eval_map,
     hyperbola_map,
     paraboloid_map,
-    project_to_fiber,
 )
 
 __version__ = "0.1.0"

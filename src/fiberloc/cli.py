@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -26,7 +27,6 @@ from .errors import (
     DomainError,
     PathAbort,
     ProjectionError,
-    SingularityError,
     StateError,
     ValidationError,
 )
@@ -92,6 +92,15 @@ CONFIG_SCHEMA = {
 }
 
 
+@functools.cache
+def _config_validator():
+    """The validator of CONFIG_SCHEMA, built on first use; the schema
+    itself is checked once per process."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     """The config file at path (none: an empty config), with the non-None
     overrides merged in, checked against CONFIG_SCHEMA as a whole.
@@ -110,12 +119,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if isinstance(cfg, dict):
         cfg.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
         raise ValidationError(
-            f"config schema violation at {exc.json_path}: {exc.message}"
-        ) from exc
+            f"config schema violation at {error.json_path}: {error.message}"
+        ) from error
     try:
         json.dumps(cfg, allow_nan=False)
     except ValueError as exc:
@@ -293,8 +301,8 @@ def cmd_mixture(cfg, out: Path) -> int:
     _require(cfg, "T", "h", "n_paths", "seed")
     specs = cfg.get("functionals", ["one", "sq_norm", {"half_space": {}}])
     functionals = [_functional_from_config(s, F.n) for s in specs]
-    rep = mc.mixture_check(F, cfg["T"], cfg["h"], cfg["n_paths"], functionals,
-                           cfg["seed"], rank_tol=cfg.get("rank_tol", 1e-2))
+    rep = mc.mixture_check(F, cfg["T"], cfg["h"], cfg["n_paths"], functionals, cfg["seed"],
+                           rank_tol=cfg.get("rank_tol", localize.DEFAULT_RANK_TRUNCATION))
     doc = {
         "experiment": "mixture",
         "config_hash": config_hash(cfg),
@@ -450,7 +458,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, out)
     except (ValidationError, DomainError) as exc:
         return _fail(exc, EXIT_CONFIG)
-    except (SingularityError, ProjectionError, PathAbort, StateError) as exc:
+    except (ProjectionError, PathAbort, StateError) as exc:
         return _fail(exc, EXIT_NUMERICAL)
     except ValueError as exc:
         return _fail(exc, EXIT_CONFIG)

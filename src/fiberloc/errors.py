@@ -9,16 +9,12 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation (e.g. not PSD)."""
 
 
-class SingularityError(RuntimeError):
-    """Jacobian rank collapse: the path got too close to a singular point."""
-
-
 class ProjectionError(RuntimeError):
     """Gauss-Newton projection onto the zero set failed to converge."""
 
 
 class StateError(RuntimeError):
-    """A localization state violates its invariants (e.g. center off the fiber)."""
+    """A localization state violates its invariants (e.g. the trace bound)."""
 
 
 class PathAbort(RuntimeError):

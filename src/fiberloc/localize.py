@@ -19,8 +19,7 @@ Cholesky factor L of B^{-1} as (Id - B^{-1} J^* M^{-1} J) L / sqrt(n).
 
 One kernel (_advance) performs the projected Euler-Maruyama step for a
 stack of paths. The batched engine run_paths drives it for every live
-path in lockstep; step is a one-path wrapper over the same kernel, and
-run_path a one-path wrapper over run_paths.
+path in lockstep, and run_path is a one-path wrapper over run_paths.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PathAbort, SingularityError, StateError, ValidationError
+from .errors import PathAbort, StateError, ValidationError
 from .linalg import hermitianize
-from .polymap import (FIBER_TOL, RANK_TOL, PolynomialMap, eval_jacobian,
-                      project_batch, residual_norm)
+from .polymap import (RANK_TOL, PolynomialMap, eval_jacobian, project_batch,
+                      residual_norm)
 
 DEFAULT_RANK_TRUNCATION = 1e-2
 # B starts at Id and grows by PSD increments, so lambda_min(B) >= 1 in exact
@@ -65,13 +64,6 @@ class QuadraticPotential:
             raise ValidationError(f"potential matrix not PD (lambda_min={w[0]:.3e})")
 
 
-def standard_potential(n: int) -> QuadraticPotential:
-    """The potential |z|^2 / 2: center 0, matrix Id."""
-    if n < 1:
-        raise ValidationError(f"dimension must be positive, got {n}")
-    return QuadraticPotential(np.zeros(n, dtype=complex), np.eye(n, dtype=complex))
-
-
 def potential_eval(p: QuadraticPotential, z: np.ndarray) -> float:
     """Evaluate the potential at a point."""
     z = np.asarray(z, dtype=complex)
@@ -92,7 +84,6 @@ class LocalizationState:
 
     sigma_accum houses the running integral of Sigma Sigma^*, used for the
     accumulation identity sigma_accum = Id - B^{-1} (exact in the limit).
-    stream identifies the deterministic random stream of the path.
     """
 
     t: float
@@ -100,7 +91,6 @@ class LocalizationState:
     B: np.ndarray
     sigma_accum: np.ndarray
     fiber_residual_max: float = 0.0
-    stream: tuple = ("seed", 0)
 
     def validate(self, n: int | None = None) -> None:
         n = n if n is not None else self.a.shape[0]
@@ -168,20 +158,11 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def brownian_increment(rng: np.random.Generator, h: float, n: int) -> np.ndarray:
-    """One increment of the complex Brownian motion over a step of length h.
-
-    Each coordinate is g1 + i g2 with independent N(0, h) parts, so
-    E|dW^j|^2 = 2h.
-    """
-    if h < 0:
-        raise ValidationError(f"step length must be nonnegative, got {h}")
-    g = rng.standard_normal(2 * n)
-    return np.sqrt(h) * (g[:n] + 1j * g[n:])
-
-
 def _increment_block(rng: np.random.Generator, h: float, n: int, m: int) -> np.ndarray:
-    """m consecutive increments, consumed in the same order as brownian_increment."""
+    """m consecutive increments of the complex Brownian motion over steps
+    of length h, shape (m, n). Each coordinate is g1 + i g2 with independent
+    N(0, h) parts, so E|dW^j|^2 = 2h. The stream is consumed increment after
+    increment, so m draws equal any split of them into consecutive blocks."""
     g = rng.standard_normal((m, 2 * n))
     return np.sqrt(h) * (g[:, :n] + 1j * g[:, n:])
 
@@ -226,23 +207,6 @@ def _annihilate(X: np.ndarray, BiJh: np.ndarray, MiJ: np.ndarray) -> np.ndarray:
     return X - BiJh @ (MiJ @ X)
 
 
-def sigma_of_state(state: LocalizationState, F: PolynomialMap) -> np.ndarray:
-    """A diffusion matrix Sigma with Sigma Sigma^* = B^{-1/2} pi B^{-1/2} / n
-    at the current state, and J Sigma = 0.
-
-    Requires the center to sit on the zero set (residual <= FIBER_TOL).
-    Any such factor drives the same law of increments Sigma dW; this one
-    is (Id - B^{-1} J^* M^{-1} J) L / sqrt(n) with L L^* = B^{-1}.
-    """
-    res = residual_norm(F, state.a)
-    if not res <= FIBER_TOL:
-        raise StateError(f"center is off the fiber: residual {res:.3e} > {FIBER_TOL:.1e}")
-    L, _, _, BiJh, MiJ, singular = _sigma_pieces(F, state.a[None, :], state.B[None])
-    if singular[0]:
-        raise SingularityError("Jacobian rank-deficient at the path center")
-    return _annihilate(L, BiJh, MiJ)[0] / np.sqrt(F.n)
-
-
 # ---------------------------------------------------------------------------
 # The Euler-Maruyama step
 
@@ -276,34 +240,6 @@ def _advance(F: PolynomialMap, a: np.ndarray, B: np.ndarray, accum: np.ndarray,
     return pts[kept], B_new, accum_new, pre[kept], ok, singular
 
 
-def step(state: LocalizationState, F: PolynomialMap, h: float,
-         dW: np.ndarray) -> LocalizationState:
-    """Advance one path by one step of length h with increment dW.
-
-    Raises PathAbort, with the reason run_paths would record, when the
-    path cannot advance.
-    """
-    if h <= 0:
-        raise ValidationError(f"step length must be positive, got {h}")
-    res = residual_norm(F, state.a)
-    if not res <= FIBER_TOL:
-        raise StateError(f"center is off the fiber: residual {res:.3e}")
-    a, B, accum, pre, ok, singular = _advance(
-        F, state.a[None, :], state.B[None], state.sigma_accum[None],
-        np.asarray(dW, dtype=complex)[None, :], h)
-    if not ok[0]:
-        reason = "singularity" if singular[0] else "projection failure"
-        raise PathAbort(reason, {"t": state.t, "reason": reason})
-    return LocalizationState(
-        t=state.t + h,
-        a=a[0],
-        B=B[0],
-        sigma_accum=accum[0],
-        fiber_residual_max=max(state.fiber_residual_max, float(pre[0])),
-        stream=state.stream,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Batched path driver
 
@@ -330,11 +266,10 @@ class BatchResult:
     def n_aborted(self) -> int:
         return int(np.sum(self.aborted))
 
-    def state(self, i: int, seed=None) -> LocalizationState:
+    def state(self, i: int) -> LocalizationState:
         return LocalizationState(
             t=self.t, a=self.a[i], B=self.B[i], sigma_accum=self.sigma_accum[i],
             fiber_residual_max=float(self.fiber_residual_max[i]),
-            stream=(seed, i),
         )
 
 
@@ -440,4 +375,4 @@ def run_path(F: PolynomialMap, T: float, h: float, seed: int,
     if out.aborted[0]:
         raise PathAbort("path aborted", {**(out.abort_reasons[0] or {}),
                                          "diagnostics": diag})
-    return out.state(0, seed=seed), diag
+    return out.state(0), diag

@@ -105,8 +105,7 @@ def fiber_distances(F: PolynomialMap, points: np.ndarray, seed: int,
 
 
 def estimate_tube_grid(F: PolynomialMap, r_grid, N: int, seed: int,
-                       norm_weights=None,
-                       n_starts: int = DEFAULT_STARTS) -> tuple[TubeEstimate, ...]:
+                       norm_weights=None) -> tuple[TubeEstimate, ...]:
     """Monte Carlo estimates of the Gaussian measure of the r-tube around
     the zero set of F, one per radius of r_grid (in the given order), in
     the Euclidean norm or the circled norm {|diag(w) z| <= 1}.
@@ -132,7 +131,7 @@ def estimate_tube_grid(F: PolynomialMap, r_grid, N: int, seed: int,
     else:
         Fw, pts, tag = F, samples, "euclidean"
     dist, failures, unconverged = fiber_distances(
-        Fw, pts, seed, n_starts=n_starts, perturb_scale=max(max(r_grid), 1e-2))
+        Fw, pts, seed, perturb_scale=max(max(r_grid), 1e-2))
     estimates = []
     for r in r_grid:
         hits = int(np.sum(dist <= r))
@@ -145,10 +144,9 @@ def estimate_tube_grid(F: PolynomialMap, r_grid, N: int, seed: int,
 
 
 def estimate_tube_measure(F: PolynomialMap, r: float, N: int, seed: int,
-                          norm_weights=None, n_starts: int = DEFAULT_STARTS) -> TubeEstimate:
+                          norm_weights=None) -> TubeEstimate:
     """The one-radius case of estimate_tube_grid."""
-    return estimate_tube_grid(F, [r], N, seed, norm_weights=norm_weights,
-                              n_starts=n_starts)[0]
+    return estimate_tube_grid(F, [r], N, seed, norm_weights=norm_weights)[0]
 
 
 @dataclass(frozen=True)
@@ -171,8 +169,7 @@ class WaistResult:
 
 
 def waist_check(F: PolynomialMap, r_grid, N: int, seed: int,
-                distance: float | None = None,
-                n_starts: int = DEFAULT_STARTS) -> WaistResult:
+                distance: float | None = None) -> WaistResult:
     """Compare the estimated tube measure of the zero set against the
     affine-subspace baseline at the same distance from the origin.
 
@@ -180,8 +177,7 @@ def waist_check(F: PolynomialMap, r_grid, N: int, seed: int,
     sample and are monotone in r. Passes when the margin p_hat - baseline
     is >= -3 stderr at every radius.
     """
-    estimates = estimate_tube_grid(F, sorted(float(r) for r in r_grid), N, seed,
-                                   n_starts=n_starts)
+    estimates = estimate_tube_grid(F, sorted(float(r) for r in r_grid), N, seed)
     d = distance if distance is not None else polymap.distance_to_origin(F).value
     rows = []
     passed = True
@@ -249,7 +245,7 @@ def mixture_check(F: PolynomialMap, T: float, h: float, n_paths: int,
     _require_origin_base(F)
     out = run_paths(F, T, h, seed, n_paths, record_every=_FINAL_RECORD_ONLY)
     live = _live_paths(out)
-    mus = [terminal_gaussian(out.state(i, seed=seed), rank_tol=rank_tol, k=F.k)
+    mus = [terminal_gaussian(out.state(i), rank_tol=rank_tol, k=F.k)
            for i in live]
     ref_mu = standard_gaussian(F.n)
     rows = []

@@ -9,11 +9,11 @@ operations accept either a single point (n,) or a stack (P, n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProjectionError, SingularityError, ValidationError
+from .errors import ProjectionError, ValidationError
 
 FIBER_TOL = 1e-10
 RANK_TOL = 1e-8
@@ -48,14 +48,6 @@ def _as_points(z: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     if z.ndim != 2 or z.shape[1] != n:
         raise ValidationError(f"expected points in C^{n}, got shape {z.shape}")
     return z, single
-
-
-@dataclass(frozen=True)
-class FiberPoint:
-    """A point on (or numerically on) the zero set, with its residual |f(point)|."""
-
-    point: np.ndarray
-    residual: float
 
 
 class PolynomialMap:
@@ -240,19 +232,6 @@ def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
         active[idx] = ~(r <= FIBER_TOL) & np.isfinite(r)
     converged = (res <= FIBER_TOL) & ~singular
     return pts, res, converged, singular, start
-
-
-def project_to_fiber(F: PolynomialMap, z: np.ndarray) -> FiberPoint:
-    """Project a single point onto the zero set of F (residual <= FIBER_TOL)."""
-    pts, single = _as_points(z, F.n)
-    if not single:
-        raise ValidationError("project_to_fiber takes a single point")
-    out, res, conv, sing, _ = project_batch(F, pts)
-    if sing[0]:
-        raise SingularityError("Jacobian rank collapse during projection")
-    if not conv[0]:
-        raise ProjectionError(f"no convergence (residual {res[0]:.3e})")
-    return FiberPoint(point=out[0], residual=float(res[0]))
 
 
 # ---------------------------------------------------------------------------

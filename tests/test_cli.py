@@ -1,5 +1,6 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -134,6 +135,36 @@ def test_override_without_config_is_validated(tmp_path, capsys):
     rc = cli.main(["tilt", "--seed", "-1", "--out", str(tmp_path)])
     assert rc == 1
     assert "$.seed" in read_stderr_payload(capsys)["message"]
+
+
+def test_config_schema_is_checked_once(tmp_path, monkeypatch):
+    # the schema itself is checked when its validator is built, not on
+    # every load_config call
+    cls = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+    check = cls.check_schema
+    calls = []
+    monkeypatch.setattr(cls, "check_schema",
+                        staticmethod(lambda schema: calls.append(schema) or check(schema)))
+    cli._config_validator.cache_clear()
+    path = write_config(tmp_path, {"seed": 0, "k": 1})
+    cli.load_config(path, {})
+    cli.load_config(path, {"seed": 3})
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    {"seed": -1, "T": 0, "bogus": 1},
+    {"map": {**HYPERBOLA, "n": 0}, "r_grid": [-1.0]},
+    {"weights": [1.0, 0.0], "N": 0.5},
+], ids=["three-violations", "nested", "two-violations"])
+def test_schema_error_names_the_best_match(tmp_path, cfg):
+    # the message names the violation jsonschema.validate would raise
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+    with pytest.raises(cli.ValidationError) as got:
+        cli.load_config(write_config(tmp_path, cfg), {})
+    assert str(got.value) == (f"config schema violation at {expected.value.json_path}: "
+                              f"{expected.value.message}")
 
 
 def test_config_hash_is_canonical():

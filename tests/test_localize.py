@@ -8,20 +8,17 @@ from fiberloc import (
     StateError,
     ValidationError,
     affine_map,
-    brownian_increment,
     hyperbola_map,
     paraboloid_map,
     path_rng,
     potential_eval,
     run_path,
     run_paths,
-    sigma_of_state,
     standard_gaussian,
-    standard_potential,
-    step,
     terminal_gaussian,
 )
-from fiberloc.localize import LAMBDA_MIN_FLOOR
+from fiberloc.localize import (LAMBDA_MIN_FLOOR, _advance, _annihilate,
+                               _increment_block, _sigma_pieces)
 from fiberloc.polymap import eval_jacobian, residual_norm
 
 
@@ -33,11 +30,28 @@ def make_state(F, a, B, t=0.0):
     return LocalizationState(t=t, a=a, B=B, sigma_accum=np.eye(n) - Binv)
 
 
+def sigma(F, st):
+    """The step kernel's diffusion matrix Sigma at one state, with
+    Sigma Sigma^* = B^{-1/2} pi B^{-1/2} / n."""
+    L, _, _, BiJh, MiJ, singular = _sigma_pieces(F, st.a[None, :], st.B[None])
+    assert not singular[0]
+    return _annihilate(L, BiJh, MiJ)[0] / np.sqrt(F.n)
+
+
+def advance(F, st, h, dW):
+    """The stacked arrays (a, B, accum) of one path after one step of
+    _advance from the state st with increment dW; the path must advance."""
+    a, B, accum, _, ok, _ = _advance(F, st.a[None, :], st.B[None],
+                                     st.sigma_accum[None], dW[None, :], h)
+    assert ok.all()
+    return a, B, accum
+
+
 # ---------------------------------------------------------------------------
 # Potentials
 
 def test_standard_potential_values():
-    p = standard_potential(2)
+    p = QuadraticPotential(np.zeros(2), np.eye(2))
     assert potential_eval(p, np.zeros(2)) == pytest.approx(0.0)
     assert potential_eval(p, np.array([1.0, 1j])) == pytest.approx(1.0)
 
@@ -80,8 +94,7 @@ def test_potential_rejects_non_pd():
 # Random streams
 
 def test_brownian_increment_moments():
-    rng = path_rng(0, 0)
-    draws = np.array([brownian_increment(rng, 0.25, 2) for _ in range(20000)])
+    draws = _increment_block(path_rng(0, 0), 0.25, 2, 20000)
     # E|dW_j|^2 = 2h = 0.5 per coordinate
     second = (np.abs(draws) ** 2).mean(axis=0)
     assert np.allclose(second, 0.5, atol=0.02)
@@ -91,17 +104,18 @@ def test_brownian_increment_moments():
 
 
 def test_streams_are_independent_of_batching():
-    rng_a = path_rng(42, 7)
-    rng_b = path_rng(42, 7)
-    one_by_one = np.array([brownian_increment(rng_a, 0.1, 3) for _ in range(5)])
-    from fiberloc.localize import _increment_block
-    block = _increment_block(rng_b, 0.1, 3, 5)
-    assert np.array_equal(one_by_one, block)
+    # run_paths refills its increment buffer block by block along each
+    # path's stream; the blocks must join into one unbroken sequence
+    block = _increment_block(path_rng(42, 7), 0.1, 3, 5)
+    rng = path_rng(42, 7)
+    split = np.concatenate([_increment_block(rng, 0.1, 3, 2),
+                            _increment_block(rng, 0.1, 3, 3)])
+    assert np.array_equal(block, split)
 
 
 def test_different_indices_give_different_streams():
-    a = brownian_increment(path_rng(1, 0), 1.0, 2)
-    b = brownian_increment(path_rng(1, 1), 1.0, 2)
+    a = _increment_block(path_rng(1, 0), 1.0, 2, 1)
+    b = _increment_block(path_rng(1, 1), 1.0, 2, 1)
     assert not np.allclose(a, b)
 
 
@@ -111,14 +125,14 @@ def test_different_indices_give_different_streams():
 def test_sigma_affine_identity_state():
     F = affine_map(2)
     st = make_state(F, F.base_point, np.eye(2))
-    S = sigma_of_state(st, F)
+    S = sigma(F, st)
     assert np.allclose(S, np.diag([0.0, 1.0]) / np.sqrt(2), atol=1e-12)
 
 
 def test_sigma_hyperbola_identity_state():
     F = hyperbola_map()
     st = make_state(F, [1.0, 1.0], np.eye(2))
-    S = sigma_of_state(st, F)
+    S = sigma(F, st)
     pi = np.array([[0.5, -0.5], [-0.5, 0.5]])
     assert np.allclose(S, pi / np.sqrt(2), atol=1e-12)
 
@@ -130,7 +144,7 @@ def test_sigma_hs_norm_identity():
     G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     B = np.eye(2) + G @ G.conj().T
     st = make_state(F, [1.0, 1.0], B)
-    S = sigma_of_state(st, F)
+    S = sigma(F, st)
     from scipy.linalg import sqrtm
     hs = np.linalg.norm(sqrtm(B) @ S)
     assert hs == pytest.approx(np.sqrt(0.5), abs=1e-10)
@@ -140,18 +154,11 @@ def test_sigma_annihilates_gradient_direction():
     F = paraboloid_map(3)
     fp = np.array([0.5 + 0.1j, -0.3j, (0.5 + 0.1j) ** 2 + (-0.3j) ** 2])
     st = make_state(F, fp, np.eye(3))
-    S = sigma_of_state(st, F)
+    S = sigma(F, st)
     from fiberloc.polymap import eval_jacobian
     J = eval_jacobian(F, fp)
     # f is conserved along the path: J Sigma = 0
     assert np.linalg.norm(J @ S) <= 1e-10
-
-
-def test_sigma_rejects_off_fiber_center():
-    F = affine_map(2)
-    st = make_state(F, [0.5, 0.0], np.eye(2))
-    with pytest.raises(StateError):
-        sigma_of_state(st, F)
 
 
 # ---------------------------------------------------------------------------
@@ -161,42 +168,43 @@ def test_step_zero_noise_updates_b_only():
     F = affine_map(2)
     st = make_state(F, F.base_point, np.eye(2))
     h = 0.01
-    nxt = step(st, F, h, np.zeros(2))
-    assert np.allclose(nxt.a, st.a, atol=1e-14)
+    a, B, _ = advance(F, st, h, np.zeros(2, dtype=complex))
+    assert np.allclose(a[0], st.a, atol=1e-14)
     # B gains (h/n) pi = diag(0, h/2)
-    assert np.allclose(nxt.B, np.diag([1.0, 1.0 + h / 2]), atol=1e-12)
-    assert nxt.t == pytest.approx(h)
+    assert np.allclose(B[0], np.diag([1.0, 1.0 + h / 2]), atol=1e-12)
 
 
 def test_step_keeps_b_monotone():
     F = hyperbola_map()
     st = make_state(F, [1.0, 1.0], np.eye(2))
-    rng = path_rng(4, 0)
-    for _ in range(50):
-        nxt = step(st, F, 0.01, brownian_increment(rng, 0.01, 2))
-        inc = np.linalg.eigvalsh(nxt.B - st.B)
+    h = 0.01
+    for dW in _increment_block(path_rng(4, 0), h, 2, 50):
+        a, B, accum = advance(F, st, h, dW)
+        inc = np.linalg.eigvalsh(B[0] - st.B)
         assert inc[0] >= -1e-12
-        assert np.linalg.eigvalsh(nxt.B)[0] >= 1 - 1e-10
-        st = nxt
+        assert np.linalg.eigvalsh(B[0])[0] >= 1 - 1e-10
+        st = LocalizationState(t=st.t + h, a=a[0], B=B[0], sigma_accum=accum[0])
     st.validate()
 
 
 def test_step_matches_run_paths_bitwise():
-    # step and run_paths share one kernel, so stepping a path by hand along
-    # its own stream reproduces the batched engine bit for bit
+    # run_paths drives the step kernel _advance, so stepping one path by
+    # hand along its own stream reproduces the batched engine bit for bit
     F = paraboloid_map(3)
     h, n_steps, seed = 2e-3, 50, 17
-    st = LocalizationState(t=0.0, a=F.base_point.astype(complex),
-                           B=np.eye(3, dtype=complex),
-                           sigma_accum=np.zeros((3, 3), dtype=complex))
-    rng = path_rng(seed, 0)
-    for _ in range(n_steps):
-        st = step(st, F, h, brownian_increment(rng, h, 3))
+    a = F.base_point[None, :].astype(complex)
+    B = np.eye(3, dtype=complex)[None]
+    accum = np.zeros((1, 3, 3), dtype=complex)
+    res_max = np.zeros(1)
+    for dW in _increment_block(path_rng(seed, 0), h, 3, n_steps):
+        a, B, accum, pre, ok, _ = _advance(F, a, B, accum, dW[None, :], h)
+        assert ok.all()
+        res_max = np.maximum(res_max, pre)
     out = run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=1)
-    assert np.array_equal(st.a, out.a[0])
-    assert np.array_equal(st.B, out.B[0])
-    assert np.array_equal(st.sigma_accum, out.sigma_accum[0])
-    assert st.fiber_residual_max == out.fiber_residual_max[0]
+    assert np.array_equal(a, out.a)
+    assert np.array_equal(B, out.B)
+    assert np.array_equal(accum, out.sigma_accum)
+    assert np.array_equal(res_max, out.fiber_residual_max)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +391,7 @@ def reference_pieces(F, st):
 def test_codim2_sigma_matches_square_root_reference():
     F = codim2_map()
     st = codim2_state()
-    S = sigma_of_state(st, F)
+    S = sigma(F, st)
     _, Bih, pi = reference_pieces(F, st)
     ref = Bih @ pi @ Bih / F.n
     assert np.allclose(S @ S.conj().T, ref, rtol=1e-12, atol=0)
@@ -394,10 +402,10 @@ def test_codim2_step_increment_matches_square_root_reference():
     F = codim2_map()
     st = codim2_state()
     h = 1e-2
-    nxt = step(st, F, h, brownian_increment(path_rng(6, 0), h, 3))
+    _, B, _ = advance(F, st, h, _increment_block(path_rng(6, 0), h, 3, 1)[0])
     Bh, _, pi = reference_pieces(F, st)
     inc = (h / F.n) * Bh @ pi @ Bh
-    assert np.allclose(nxt.B - st.B, inc, rtol=0, atol=1e-13 * np.linalg.norm(st.B))
+    assert np.allclose(B[0] - st.B, inc, rtol=0, atol=1e-13 * np.linalg.norm(st.B))
 
 
 def test_codim2_paths_stay_valid():

@@ -3,8 +3,6 @@ import pytest
 
 from fiberloc import (
     PolynomialMap,
-    ProjectionError,
-    SingularityError,
     ValidationError,
     affine_map,
     distance_to_origin,
@@ -12,7 +10,6 @@ from fiberloc import (
     eval_map,
     hyperbola_map,
     paraboloid_map,
-    project_to_fiber,
 )
 from fiberloc.polymap import (
     FIBER_TOL,
@@ -155,23 +152,25 @@ def test_residual_norm_shapes():
 
 def test_projection_fixes_fiber_points():
     F = hyperbola_map()
-    fp = project_to_fiber(F, np.array([1.0, 1.0], dtype=complex))
-    assert np.allclose(fp.point, [1.0, 1.0], atol=1e-14)
-    assert fp.residual <= 1e-10
+    pts, res, converged, singular, _ = project_batch(F, np.array([[1.0, 1.0]]))
+    assert converged[0] and not singular[0]
+    assert np.allclose(pts[0], [1.0, 1.0], atol=1e-14)
+    assert res[0] <= 1e-10
 
 
 def test_projection_converges_near_fiber():
     F = paraboloid_map(2)
-    fp = project_to_fiber(F, np.array([1.0 + 0.5j, 0.9 + 1.1j]))
-    assert fp.residual <= 1e-10
-    assert residual_norm(F, fp.point) <= 1e-10
+    pts, res, converged, _, _ = project_batch(F, np.array([[1.0 + 0.5j, 0.9 + 1.1j]]))
+    assert converged[0] and res[0] <= 1e-10
+    assert residual_norm(F, pts[0]) <= 1e-10
 
 
 def test_projection_raises_on_singularity():
-    # f = z_1^2 - 1: the Jacobian vanishes on the whole plane z_1 = 0
+    # f = z_1^2 - 1: the Jacobian vanishes on the whole plane z_1 = 0, so
+    # the projection stops there flagged singular
     F = PolynomialMap(2, 1, [[(1.0, [2, 0]), (-1.0, [0, 0])]], [1.0, 0.0])
-    with pytest.raises(SingularityError):
-        project_to_fiber(F, np.zeros(2))
+    _, _, converged, singular, _ = project_batch(F, np.zeros((1, 2)))
+    assert singular[0] and not converged[0]
 
 
 def test_projection_refuses_a_non_finite_residual(monkeypatch):
@@ -207,9 +206,10 @@ def test_projection_returns_the_starting_residuals():
 
 def test_projection_moves_little_when_close():
     F = hyperbola_map()
-    z = np.array([1.0 + 1e-4, 1.0])
-    fp = project_to_fiber(F, z)
-    assert np.linalg.norm(fp.point - z) <= 1e-3
+    z = np.array([[1.0 + 1e-4, 1.0]])
+    pts, _, converged, _, _ = project_batch(F, z)
+    assert converged[0]
+    assert np.linalg.norm(pts[0] - z[0]) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
