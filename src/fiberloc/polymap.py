@@ -144,19 +144,27 @@ class PolynomialMap:
 def _eval_plan(F: PolynomialMap, z: np.ndarray, plan) -> np.ndarray:
     """The monomial sums of a plan at z: (C,) for a single point, (P, C)
     stacked. One table of the powers z_l^d, d = 0..deg, built by repeated
-    multiplication, serves every monomial."""
+    multiplication, serves every monomial.
+
+    The table holds a spare point (1, ..., 1) after the P given ones, so
+    every product and sum runs on at least two points. NumPy multiplies
+    a one-element complex array in place without the fused multiply-add
+    it uses on longer ones, and takes a different BLAS kernel for a
+    one-row product: without the spare point, a point evaluated alone
+    would round differently from the same point in a stack."""
     pts, single = _as_points(z, F.n)
+    P = pts.shape[0]
     idx, coeffs = plan
-    pw = np.empty((F._deg + 1, F.n, pts.shape[0]), dtype=complex)
-    pw[0] = 1
-    pw[1:] = pts.T
+    pw = np.empty((F._deg + 1, F.n, P + 1), dtype=complex)
+    pw[:2] = 1
+    pw[1, :, :P] = pts.T
     for d in range(2, F._deg + 1):
-        pw[d] *= pw[d - 1]
-    pw = pw.reshape(-1, pts.shape[0])
+        np.multiply(pw[1], pw[d - 1], out=pw[d])
+    pw = pw.reshape(-1, P + 1)
     mono = pw.take(idx[0], axis=0)
     for ell in range(1, F.n):
         mono *= pw.take(idx[ell], axis=0)
-    out = mono.T.dot(coeffs)
+    out = mono.T.dot(coeffs)[:P]
     return out[0] if single else out
 
 
@@ -194,8 +202,11 @@ def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
     """Gauss-Newton projection of a stack of points onto the zero set.
 
     Iterates z <- z - J^* (J J^*)^{-1} f(z) on the points whose residual
-    still exceeds FIBER_TOL, for at most max_iter iterations. A point whose
-    Jacobian has sigma_min below RANK_TOL stops as singular; a point whose
+    still exceeds FIBER_TOL, for at most max_iter iterations. One Hermitian
+    eigendecomposition J J^* = V diag(lam) V^* per point and iteration
+    serves both the rank test and the step J^* V diag(1/lam) V^* f(z). A
+    point whose Jacobian has sigma_min below RANK_TOL (lam_min below
+    RANK_TOL^2) stops as singular; a point whose
     residual is not finite stops at once, neither converged nor singular.
     Returns (points, residuals, converged, singular, start_residuals) where
     the two masks flag per-point failure modes and start_residuals holds
@@ -213,18 +224,19 @@ def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
         idx = np.nonzero(active)[0]
         zi, fi = pts[idx], fv[idx]
         J = eval_jacobian(F, zi)
-        G = J @ np.conj(np.swapaxes(J, -1, -2))
-        gmin = np.linalg.eigvalsh(G)[:, 0]
-        bad = gmin < RANK_TOL**2
+        Jh = np.conj(np.swapaxes(J, -1, -2))
+        gw, V = np.linalg.eigh(J @ Jh)
+        del J
+        bad = gw[:, 0] < RANK_TOL**2
         if np.any(bad):
             singular[idx[bad]] = True
             active[idx[bad]] = False
             good = ~bad
-            idx, zi, fi, J, G = idx[good], zi[good], fi[good], J[good], G[good]
+            idx, zi, fi, Jh, gw, V = idx[good], zi[good], fi[good], Jh[good], gw[good], V[good]
             if idx.size == 0:
                 continue
-        s = np.linalg.solve(G, fi[..., None])
-        step = (np.conj(np.swapaxes(J, -1, -2)) @ s)[..., 0]
+        s = (np.conj(np.swapaxes(V, -1, -2)) @ fi[..., None]) / gw[..., None]
+        step = (Jh @ (V @ s))[..., 0]
         pts[idx] = zi - step
         fv[idx] = eval_map(F, pts[idx])
         r = np.linalg.norm(fv[idx], axis=1)
@@ -264,13 +276,53 @@ _ARMIJO = 1e-4
 _NEWTON_BLOCK = 2048
 
 
+def _householder_qr(A: np.ndarray):
+    """Complete QR of a stack A (P, n, k), k <= n: (Q (P, n, n), R (P, n, k)).
+
+    Column i is mapped to beta e_i by the Hermitian reflector
+    I - tau v v^*, with |beta| the column's norm below row i and beta of
+    the opposite phase to its leading entry, so that nothing cancels. The
+    stack is held with P last, and every operation acts on all P matrices
+    at once; Q and R are returned in the (P, ...) order. A zero column
+    leaves R_ii = 0 and is reflected by the identity.
+    """
+    n, k = A.shape[1:]
+    R = np.moveaxis(A, 0, -1).astype(complex, order="C")
+    Q = np.zeros((n, n, A.shape[0]), dtype=complex)
+    for ell in range(n):
+        Q[ell, ell] = 1
+    for i in range(k):
+        x = R[i:, i]
+        lead = np.abs(x[0])
+        norm = lead
+        for row in x[1:]:
+            norm = np.hypot(norm, np.abs(row))
+        nonzero = norm > 0
+        # v scaled so that its leading entry is the phase of x_i: then
+        # |v|^2 = 2 norm / (norm + |x_i|) and tau = 2 / |v|^2
+        scale = np.where(nonzero, norm + lead, 1.0)
+        phase = np.where(lead > 0, x[0] / np.where(lead > 0, lead, 1.0), 1.0)
+        v = x * (1 / scale)
+        v[0] = phase
+        tau = np.where(nonzero, scale / np.where(nonzero, norm, 1.0), 0.0)
+        vc = np.conj(v)
+        R[i:, i + 1:] -= v[:, None] * (tau * np.sum(vc[:, None] * R[i:, i + 1:], axis=0))
+        R[i, i] = -phase * norm
+        R[i + 1:, i] = 0
+        Q[:, i:] -= (tau * np.sum(Q[:, i:] * v, axis=1))[:, None] * vc
+    return (np.ascontiguousarray(np.moveaxis(Q, -1, 0)),
+            np.ascontiguousarray(np.moveaxis(R, -1, 0)))
+
+
 def _newton_step(F: PolynomialMap, w: np.ndarray, g: np.ndarray):
     """The tangential gradient norm, a Newton step and its slope at the
     feasible points w, where g = w - x.
 
-    With J^* = Q R (complete QR), the last n - k columns N of Q span the
-    tangent space ker J, mu = R^{-1} Q_1^* g is the least-squares multiplier
-    and c = N^* g the tangential gradient t in that basis. The reduced KKT
+    With J^* = Q R (complete QR, _householder_qr), the last n - k columns N
+    of Q span the tangent space ker J, mu = R^{-1} Q_1^* g is the
+    least-squares multiplier and c = N^* g the tangential gradient t in that
+    basis; the step N u below and |t| do not depend on which orthonormal
+    basis N is taken. The reduced KKT
     system for the step N u is u - conj(S u) = -c, with S = N^T H N and
     H = sum_j conj(mu_j) Hess f_j. As a real system of size 2(n - k) its
     matrix I + A has eigenvalues 1 +- sigma_i(S); it is shifted to
@@ -286,7 +338,7 @@ def _newton_step(F: PolynomialMap, w: np.ndarray, g: np.ndarray):
     """
     P, n, k = w.shape[0], F.n, F.k
     Jh = np.conj(np.swapaxes(eval_jacobian(F, w), -1, -2))
-    Q, R = np.linalg.qr(Jh, mode="complete")
+    Q, R = _householder_qr(Jh)
     c = (np.conj(np.swapaxes(Q, -1, -2)) @ g[..., None])[..., 0]
     diag = np.diagonal(R, axis1=-2, axis2=-1)
     regular = np.abs(diag).min(axis=1) >= RANK_TOL

@@ -14,7 +14,6 @@ from fiberloc import (
     QuadraticPotential,
     SqNorm,
     affine_map,
-    affine_tube_measure,
     circled_norm_geometry,
     disc_measure,
     estimate_tube_measure,

@@ -1,7 +1,6 @@
 import json
 
 import jsonschema
-import numpy as np
 import pytest
 
 from fiberloc import cli

@@ -1,12 +1,15 @@
-"""Every module-level import in the package modules is used."""
+"""Every module-level import in the package modules and the test files is
+used."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fiberloc"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = (sorted(p for p in (ROOT / "src" / "fiberloc").glob("*.py")
+                  if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list:

@@ -11,9 +11,11 @@ from fiberloc import (
     hyperbola_map,
     paraboloid_map,
 )
+from fiberloc import polymap
 from fiberloc.polymap import (
     FIBER_TOL,
     KKT_TOL,
+    RANK_TOL,
     eval_hessian,
     minimize_fiber_distance,
     project_batch,
@@ -177,7 +179,6 @@ def test_projection_refuses_a_non_finite_residual(monkeypatch):
     # f = z_2 - z_1^300 + z_1^299 overflows to inf - inf = NaN at (12, 0);
     # a NaN residual is not on the zero set, so no start there is feasible,
     # and since nothing can converge from it no Jacobian is evaluated
-    from fiberloc import polymap
     F = PolynomialMap(2, 1, [[(1.0, [0, 1]), (-1.0, [300, 0]), (1.0, [299, 0])]],
                       [0.0, 0.0])
     z = np.array([[12.0, 0.0]], dtype=complex)
@@ -284,6 +285,103 @@ def test_minimizer_masks_a_singular_row():
     finite = np.isfinite(dist)
     assert np.all(residual_norm(F, w[finite]) <= FIBER_TOL)
     assert np.allclose(dist[finite], np.linalg.norm(w - targets, axis=1)[finite], rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Stack-wide kernels: the same bits for a point alone as in a stack, and
+# agreement with the per-matrix LAPACK formulas they replace
+
+def test_a_point_evaluates_alone_as_in_a_stack():
+    # NumPy multiplies a one-element complex array in place without the
+    # fused multiply-add it uses on longer ones, and a one-row product
+    # takes another BLAS kernel; either made a point alone round differently
+    rng = np.random.default_rng(31)
+    maps = (PolynomialMap(2, 1, [[(1.0, [1, 1])]], [1.0, 0.0]), hyperbola_map(), quintic_map())
+    for F in maps:
+        z = rng.standard_normal((64, F.n)) + 1j * rng.standard_normal((64, F.n))
+        for ev in (eval_map, eval_jacobian, eval_hessian):
+            stacked = ev(F, z)
+            for i in range(64):
+                assert np.array_equal(ev(F, z[i]), stacked[i])
+                assert np.array_equal(ev(F, z[i:i + 1])[0], stacked[i])
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (5, 3)])
+def test_householder_qr_matches_lapack(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    A = rng.standard_normal((40, n, k)) + 1j * rng.standard_normal((40, n, k))
+    A[7, :, k - 1] = 0
+    Q, R = polymap._householder_qr(A)
+    Q_ref, R_ref = np.linalg.qr(A, mode="complete")
+    assert Q.shape == Q_ref.shape and R.shape == R_ref.shape
+    assert np.all(np.isfinite(Q)) and np.all(np.isfinite(R))
+    assert np.abs(np.conj(np.swapaxes(Q, -1, -2)) @ Q - np.eye(n)).max() <= 1e-14
+    assert np.abs(Q @ R - A).max() <= 1e-14 * np.abs(A).max() * n
+    assert np.all(np.tril(R, -1) == 0)
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    assert np.allclose(diag, np.abs(np.diagonal(R_ref, axis1=-2, axis2=-1)), rtol=0, atol=1e-12)
+    # the zero column, and only it, fails the rank test
+    assert np.array_equal(diag.min(axis=1) < RANK_TOL, np.arange(40) == 7)
+
+
+def test_newton_step_matches_a_lapack_qr_reference(monkeypatch):
+    # the Newton step N u and |t| do not depend on the basis N of ker J, so
+    # a QR whose Q differs from LAPACK's in phase gives the same step
+    rng = np.random.default_rng(34)
+    for F in (hyperbola_map(), quintic_map()):
+        noise = rng.standard_normal((2, 30, F.n)) + 1j * rng.standard_normal((2, 30, F.n))
+        w, _, ok, _, _ = project_batch(F, F.base_point + 0.3 * noise[0])
+        w, x = w[ok], w[ok] + 0.5 * noise[1][ok]
+        tn, step, slope = polymap._newton_step(F, w, w - x)
+        with monkeypatch.context() as m:
+            m.setattr(polymap, "_householder_qr", lambda A: np.linalg.qr(A, mode="complete"))
+            tn_ref, step_ref, slope_ref = polymap._newton_step(F, w, w - x)
+        assert np.all(np.isfinite(tn_ref))
+        assert np.allclose(tn, tn_ref, rtol=1e-10, atol=0)
+        assert np.all(np.linalg.norm(step - step_ref, axis=1)
+                      <= 1e-10 * np.linalg.norm(step_ref, axis=1))
+        assert np.allclose(slope, slope_ref, rtol=1e-10, atol=0)
+
+
+def gauss_newton_reference(F, z, max_iter=50):
+    """project_batch with the rank test by eigvalsh(J J^*) and the step by
+    solve(J J^*, f): (points, converged, singular)."""
+    pts = np.array(z, dtype=complex)
+    fv = eval_map(F, pts)
+    res = np.linalg.norm(fv, axis=1)
+    singular = np.zeros(len(pts), dtype=bool)
+    active = ~(res <= FIBER_TOL) & np.isfinite(res)
+    for _ in range(max_iter):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        J = eval_jacobian(F, pts[idx])
+        Jh = np.conj(np.swapaxes(J, -1, -2))
+        G = J @ Jh
+        bad = np.linalg.eigvalsh(G)[:, 0] < RANK_TOL**2
+        singular[idx[bad]] = True
+        active[idx[bad]] = False
+        idx, Jh, G = idx[~bad], Jh[~bad], G[~bad]
+        pts[idx] -= (Jh @ np.linalg.solve(G, fv[idx][..., None]))[..., 0]
+        fv[idx] = eval_map(F, pts[idx])
+        res[idx] = np.linalg.norm(fv[idx], axis=1)
+        active[idx] = ~(res[idx] <= FIBER_TOL) & np.isfinite(res[idx])
+    return pts, (res <= FIBER_TOL) & ~singular, singular
+
+
+def test_projection_matches_the_eigvalsh_and_solve_formula():
+    rng = np.random.default_rng(35)
+    # the hyperbola's Jacobian (z_2, z_1) vanishes at its start 3
+    for F, bad in ((random_cubic_map(), []), (hyperbola_map(), [3])):
+        z = F.base_point + 0.5 * (rng.standard_normal((40, F.n))
+                                  + 1j * rng.standard_normal((40, F.n)))
+        z[bad] = 0
+        pts, _, converged, singular, _ = project_batch(F, z)
+        ref, converged_ref, singular_ref = gauss_newton_reference(F, z)
+        assert np.array_equal(converged, converged_ref)
+        assert np.array_equal(singular, singular_ref)
+        assert np.array_equal(np.nonzero(singular)[0], bad) and converged.sum() >= 35
+        assert np.all(np.linalg.norm(pts - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1))
 
 
 # ---------------------------------------------------------------------------
