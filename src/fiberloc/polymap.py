@@ -156,8 +156,9 @@ def _eval_plan(F: PolynomialMap, z: np.ndarray, plan) -> np.ndarray:
     P = pts.shape[0]
     idx, coeffs = plan
     pw = np.empty((F._deg + 1, F.n, P + 1), dtype=complex)
-    pw[:2] = 1
+    pw[0] = 1
     pw[1, :, :P] = pts.T
+    pw[1, :, P] = 1
     for d in range(2, F._deg + 1):
         np.multiply(pw[1], pw[d - 1], out=pw[d])
     pw = pw.reshape(-1, P + 1)
@@ -196,6 +197,101 @@ def residual_norm(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Small-matrix kernels over P-last stacks: a stack of P matrices is held as
+# (r, c, P), so every operation below acts on all P matrices at once and
+# each matrix product is an explicit sum over the small axes.
+
+# The Jacobi sweeps of _jacobi_eigh; a sweep in which no row rotates ends it
+_JACOBI_SWEEPS = 30
+_EPS = np.finfo(float).eps
+
+
+def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The products A B of a stack A (r, c, P) with a stack of matrices
+    B (c, s, P) or of vectors B (c, P), summed over c term by term.
+
+    Both factors of every product have the same number of axes: NumPy
+    multiplies a one-element complex array by one of fewer axes without
+    the fused multiply-add it uses otherwise, so a stack of one would round
+    differently from a longer stack. An empty sum, c = 0, is zero: the
+    tangent space has no basis vector where k = n.
+    """
+    if A.shape[1] == 0:
+        return np.zeros(A.shape[:1] + B.shape[1:], dtype=complex)
+    cols = (slice(None),) + (None,) * (B.ndim - 2)
+    out = A[:, 0][cols] * B[0][None]
+    for b in range(1, A.shape[1]):
+        out += A[:, b][cols] * B[b][None]
+    return out
+
+
+def _gram(X: np.ndarray) -> np.ndarray:
+    """The Gram matrices X^* X of a stack X (r, c, P): (c, c, P), exactly
+    Hermitian (the lower triangle is the conjugate of the upper)."""
+    G = _mm(np.conj(X).swapaxes(0, 1), X)
+    for a in range(1, G.shape[0]):
+        G[a, :a] = np.conj(G[:a, a])
+    return G
+
+
+def _jacobi_eigh(A: np.ndarray):
+    """Eigenvalues (d, P), ascending, and orthonormal eigenvectors (d, d, P),
+    as columns, of a stack A (d, d, P) of Hermitian matrices; cyclic Jacobi.
+
+    The rotation of a pair (p, q) zeroes A_pq in the rows where |A_pq|
+    exceeds eps (|A_pp| + |A_qq|) and is exactly the identity in the
+    others, so that a row gives the same bits alone as in a stack; its
+    tangent, 2 |A_pq| / (|d| + hypot(d, 2 |A_pq|)) with d = A_qq - A_pp,
+    is at most 1 and cannot overflow. Only the real part of the diagonal
+    is read. The sweeps end once no row rotates: at d = 1 there is no
+    pair, at d = 2 the second sweep finds every A_pq zero. A is
+    overwritten.
+    """
+    d = A.shape[0]
+    V = np.zeros_like(A)
+    for i in range(d):
+        V[i, i] = 1
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(d):
+            for q in range(p + 1, d):
+                app, aqq, apq = A[p, p].real.copy(), A[q, q].real.copy(), A[p, q].copy()
+                g = np.abs(apq)
+                live = g > _EPS * (np.abs(app) + np.abs(aqq))
+                if not live.any():
+                    continue
+                rotated = True
+                g = np.where(live, g, 0.0)
+                dd = np.where(live, aqq - app, 0.0)
+                den = np.abs(dd) + np.hypot(dd, 2 * g)
+                t = np.copysign(2 * g, dd) / np.where(live, den, 1.0)
+                c = 1 / np.sqrt(1 + t * t)
+                # s e, with e the phase of A_pq: G = [[c, se], [-conj(se), c]]
+                se = (t * c) * (apq / np.where(live, g, 1.0))
+                for M in (A, V):
+                    Mp = M[:, p].copy()
+                    M[:, p] = c * Mp - np.conj(se) * M[:, q]
+                    M[:, q] = se * Mp + c * M[:, q]
+                # rows p and q of G^* (A G), by Hermitian symmetry
+                A[p], A[q] = np.conj(A[:, p]), np.conj(A[:, q])
+                A[p, p], A[q, q] = app - t * g, aqq + t * g
+                A[p, q] = np.where(live, 0, A[p, q])
+                A[q, p] = np.conj(A[p, q])
+        if not rotated:
+            break
+    # ascending order by exchanges of neighbours
+    lam = A.diagonal().T.real.copy()
+    for i in range(d - 1, 0, -1):
+        for j in range(i):
+            swap = lam[j] > lam[j + 1]
+            lam[j], lam[j + 1] = (np.where(swap, lam[j + 1], lam[j]),
+                                  np.where(swap, lam[j], lam[j + 1]))
+            V[:, j], V[:, j + 1] = (np.where(swap, V[:, j + 1], V[:, j]),
+                                    np.where(swap, V[:, j], V[:, j + 1]))
+    return lam, V
+
+
+# ---------------------------------------------------------------------------
 # Gauss-Newton projection
 
 def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
@@ -204,10 +300,12 @@ def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
     Iterates z <- z - J^* (J J^*)^{-1} f(z) on the points whose residual
     still exceeds FIBER_TOL, for at most max_iter iterations. One Hermitian
     eigendecomposition J J^* = V diag(lam) V^* per point and iteration
-    serves both the rank test and the step J^* V diag(1/lam) V^* f(z). A
-    point whose Jacobian has sigma_min below RANK_TOL (lam_min below
-    RANK_TOL^2) stops as singular; a point whose
+    (_jacobi_eigh) serves both the rank test and the step
+    J^* V diag(1/lam) V^* f(z). A point whose Jacobian has sigma_min below
+    RANK_TOL (lam_min below RANK_TOL^2) stops as singular; a point whose
     residual is not finite stops at once, neither converged nor singular.
+    The points still iterating form a compacted working set, held with P
+    last, from which each point is written back when it stops.
     Returns (points, residuals, converged, singular, start_residuals) where
     the two masks flag per-point failure modes and start_residuals holds
     |f(z)| at the given points.
@@ -217,31 +315,33 @@ def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
     res = np.linalg.norm(fv, axis=1)
     start = res.copy()
     singular = np.zeros(pts.shape[0], dtype=bool)
-    active = ~(res <= FIBER_TOL) & np.isfinite(res)
+    # the working set: row indices, points (n, P) and f values (k, P)
+    act = np.nonzero(~(res <= FIBER_TOL) & np.isfinite(res))[0]
+    zt, ft = pts[act].T.copy(), fv[act].T
+    del fv
     for _ in range(max_iter):
-        if not np.any(active):
+        if act.size == 0:
             break
-        idx = np.nonzero(active)[0]
-        zi, fi = pts[idx], fv[idx]
-        J = eval_jacobian(F, zi)
-        Jh = np.conj(np.swapaxes(J, -1, -2))
-        gw, V = np.linalg.eigh(J @ Jh)
-        del J
-        bad = gw[:, 0] < RANK_TOL**2
-        if np.any(bad):
-            singular[idx[bad]] = True
-            active[idx[bad]] = False
-            good = ~bad
-            idx, zi, fi, Jh, gw, V = idx[good], zi[good], fi[good], Jh[good], gw[good], V[good]
-            if idx.size == 0:
-                continue
-        s = (np.conj(np.swapaxes(V, -1, -2)) @ fi[..., None]) / gw[..., None]
-        step = (Jh @ (V @ s))[..., 0]
-        pts[idx] = zi - step
-        fv[idx] = eval_map(F, pts[idx])
-        r = np.linalg.norm(fv[idx], axis=1)
-        res[idx] = r
-        active[idx] = ~(r <= FIBER_TOL) & np.isfinite(r)
+        Jh = np.conj(eval_jacobian(F, zt.T).transpose(2, 1, 0), order="C")
+        lam, V = _jacobi_eigh(_gram(Jh))
+        # rows leave the working set by integer index: a boolean mask
+        # indexes a stack several times slower than take
+        bad = lam[0] < RANK_TOL**2
+        if bad.any():
+            out, keep = np.flatnonzero(bad), np.flatnonzero(~bad)
+            singular[act[out]] = True
+            pts[act[out]] = zt[:, out].T
+            act, zt, ft, Jh, lam, V = (a.take(keep, axis=-1) for a in (act, zt, ft, Jh, lam, V))
+        zt = zt - _mm(Jh, _mm(V, _mm(np.conj(V).swapaxes(0, 1), ft) / lam))
+        ft = eval_map(F, zt.T).T
+        r = np.linalg.norm(ft, axis=0)
+        res[act] = r
+        stop = (r <= FIBER_TOL) | ~np.isfinite(r)
+        if stop.any():
+            out, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
+            pts[act[out]] = zt[:, out].T
+            act, zt, ft = (a.take(keep, axis=-1) for a in (act, zt, ft))
+    pts[act] = zt.T
     converged = (res <= FIBER_TOL) & ~singular
     return pts, res, converged, singular, start
 
@@ -277,18 +377,18 @@ _NEWTON_BLOCK = 2048
 
 
 def _householder_qr(A: np.ndarray):
-    """Complete QR of a stack A (P, n, k), k <= n: (Q (P, n, n), R (P, n, k)).
+    """Complete QR of a P-last stack A (n, k, P), k <= n: Q (n, n, P) and
+    R (n, k, P).
 
     Column i is mapped to beta e_i by the Hermitian reflector
     I - tau v v^*, with |beta| the column's norm below row i and beta of
-    the opposite phase to its leading entry, so that nothing cancels. The
-    stack is held with P last, and every operation acts on all P matrices
-    at once; Q and R are returned in the (P, ...) order. A zero column
-    leaves R_ii = 0 and is reflected by the identity.
+    the opposite phase to its leading entry, so that nothing cancels.
+    Every operation acts on all P matrices at once. A zero column leaves
+    R_ii = 0 and is reflected by the identity.
     """
-    n, k = A.shape[1:]
-    R = np.moveaxis(A, 0, -1).astype(complex, order="C")
-    Q = np.zeros((n, n, A.shape[0]), dtype=complex)
+    n, k = A.shape[:2]
+    R = np.array(A, dtype=complex)
+    Q = np.zeros((n, n) + A.shape[2:], dtype=complex)
     for ell in range(n):
         Q[ell, ell] = 1
     for i in range(k):
@@ -306,12 +406,11 @@ def _householder_qr(A: np.ndarray):
         v[0] = phase
         tau = np.where(nonzero, scale / np.where(nonzero, norm, 1.0), 0.0)
         vc = np.conj(v)
-        R[i:, i + 1:] -= v[:, None] * (tau * np.sum(vc[:, None] * R[i:, i + 1:], axis=0))
+        R[i:, i + 1:] -= v[:, None] * (tau * _mm(vc[None], R[i:, i + 1:]))
         R[i, i] = -phase * norm
         R[i + 1:, i] = 0
-        Q[:, i:] -= (tau * np.sum(Q[:, i:] * v, axis=1))[:, None] * vc
-    return (np.ascontiguousarray(np.moveaxis(Q, -1, 0)),
-            np.ascontiguousarray(np.moveaxis(R, -1, 0)))
+        Q[:, i:] -= (tau * _mm(Q[:, i:], v))[:, None] * vc[None]
+    return Q, R
 
 
 def _newton_step(F: PolynomialMap, w: np.ndarray, g: np.ndarray):
@@ -330,40 +429,41 @@ def _newton_step(F: PolynomialMap, w: np.ndarray, g: np.ndarray):
     eigenvalue is at least the floor and the step descends even where the
     reduced Hessian is indefinite. Since A^2 is S^* S, the shifted system
     is solved as u = -(rho y + conj(S y)), (rho^2 - S^* S) y = c, by one
-    Hermitian eigendecomposition of size n - k. The step is shortened to
-    at most |g|. A row whose R has a diagonal entry below RANK_TOL gets
-    |t| = inf; a row whose S is not finite takes the gradient step -t.
-    Where k = n the tangent space is {0}: |t| = 0 and the step is zero.
-    The slope is Re<t, step>.
+    Hermitian eigendecomposition of size n - k (_jacobi_eigh). The step is
+    shortened to at most |g|. A row whose R has a diagonal entry below
+    RANK_TOL gets |t| = inf; a row whose S is not finite takes the
+    gradient step -t. Where k = n the tangent space is {0}: |t| = 0 and
+    the step is zero. The slope is Re<t, step>. Every stack is held with
+    P last (_mm).
     """
     P, n, k = w.shape[0], F.n, F.k
-    Jh = np.conj(np.swapaxes(eval_jacobian(F, w), -1, -2))
-    Q, R = _householder_qr(Jh)
-    c = (np.conj(np.swapaxes(Q, -1, -2)) @ g[..., None])[..., 0]
-    diag = np.diagonal(R, axis1=-2, axis2=-1)
-    regular = np.abs(diag).min(axis=1) >= RANK_TOL
-    diag = np.where(regular[:, None], diag, 1.0)
-    mu = np.zeros((P, k), dtype=complex)
+    gt = g.T
+    Q, R = _householder_qr(np.conj(eval_jacobian(F, w).transpose(2, 1, 0), order="C"))
+    c = _mm(np.conj(Q).swapaxes(0, 1), gt)
+    diag = np.diagonal(R[:k]).T
+    regular = np.abs(diag).min(axis=0) >= RANK_TOL
+    diag = np.where(regular, diag, 1.0)
+    mu = np.zeros((k, P), dtype=complex)
     for i in reversed(range(k)):
-        mu[:, i] = (c[:, i] - np.sum(R[:, i, i + 1:k] * mu[:, i + 1:], axis=1)) / diag[:, i]
-    H = np.einsum("pj,pjlq->plq", np.conj(mu), eval_hessian(F, w))
-    N = Q[:, :, k:]
-    S = np.swapaxes(N, -1, -2) @ H @ N
-    S[~np.isfinite(S).all(axis=(1, 2))] = 0
-    sig2, W = np.linalg.eigh(np.conj(np.swapaxes(S, -1, -2)) @ S)
+        mu[i] = (c[i] - _mm(R[i:i + 1, i + 1:k], mu[i + 1:])[0]) / diag[i]
+    hess = eval_hessian(F, w).reshape(P, k, n * n).transpose(2, 1, 0)
+    H = _mm(hess, np.conj(mu)).reshape(n, n, P)
+    N = Q[:, k:]
+    S = _mm(N.swapaxes(0, 1), _mm(H, N))
+    S[..., ~np.isfinite(S).all(axis=(0, 1))] = 0
+    sig2, W = _jacobi_eigh(_gram(S))
     # sigma_max^2, 0 where k = n and the tangent space is {0}
-    rho = np.maximum(1.0, np.sqrt(np.maximum(sig2.max(axis=1, initial=0.0), 0))
+    rho = np.maximum(1.0, np.sqrt(np.maximum(sig2.max(axis=0, initial=0.0), 0))
                      + _CURVATURE_FLOOR)
-    ct = c[:, k:]
-    y = (W @ ((np.conj(np.swapaxes(W, -1, -2)) @ ct[..., None])[..., 0]
-              / (rho[:, None] ** 2 - sig2))[..., None])[..., 0]
-    u = -(rho[:, None] * y + np.conj((S @ y[..., None])[..., 0]))
-    step = (N @ u[..., None])[..., 0]
-    slope = np.sum(ct.real * u.real + ct.imag * u.imag, axis=1)
-    shrink = np.minimum(1.0, np.linalg.norm(g, axis=1)
-                        / np.maximum(np.linalg.norm(step, axis=1), 1e-300))
-    tn = np.where(regular, np.linalg.norm(ct, axis=1), np.inf)
-    return tn, step * shrink[:, None], slope * shrink
+    ct = c[k:]
+    y = _mm(W, _mm(np.conj(W).swapaxes(0, 1), ct) / (rho**2 - sig2))
+    u = -(rho * y + np.conj(_mm(S, y)))
+    step = _mm(N, u)
+    slope = np.sum(ct.real * u.real + ct.imag * u.imag, axis=0)
+    shrink = np.minimum(1.0, np.linalg.norm(gt, axis=0)
+                        / np.maximum(np.linalg.norm(step, axis=0), 1e-300))
+    tn = np.where(regular, np.linalg.norm(ct, axis=0), np.inf)
+    return tn, (step * shrink).T, slope * shrink
 
 
 def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,

@@ -306,12 +306,66 @@ def test_a_point_evaluates_alone_as_in_a_stack():
                 assert np.array_equal(ev(F, z[i:i + 1])[0], stacked[i])
 
 
+@pytest.mark.parametrize("make", [hyperbola_map, quintic_map, random_cubic_map,
+                                  lambda: paraboloid_map(3)],
+                         ids=["hyperbola", "quintic", "random_cubic", "paraboloid3"])
+def test_a_row_projects_and_steps_alone_as_in_a_stack(make):
+    # a one-element complex product rounds without the fused multiply-add;
+    # no row of the solver may take another path alone than in a stack
+    F = make()
+    rng = np.random.default_rng(36)
+    noise = rng.standard_normal((3, 64, F.n)) + 1j * rng.standard_normal((3, 64, F.n))
+    z = F.base_point + 0.3 * noise[0, :32]
+    stacked = project_batch(F, z)
+    for i in range(32):
+        for alone, part in zip(project_batch(F, z[i:i + 1]), stacked):
+            assert np.array_equal(alone[0], part[i])
+    w, _, ok, _, _ = project_batch(F, F.base_point + 0.3 * noise[1])
+    w = w[ok][:32]
+    assert len(w) == 32
+    g = 0.5 * noise[2, :32]
+    stacked = polymap._newton_step(F, w, g)
+    for i in range(32):
+        for alone, part in zip(polymap._newton_step(F, w[i:i + 1], g[i:i + 1]), stacked):
+            assert np.array_equal(alone[0], part[i])
+
+
+def hermitian_stack(kind, d, P, rng):
+    """P Hermitian d x d matrices: random, zero, the identity, or diagonal;
+    "mixed" is a random stack holding one of each of the other three."""
+    X = rng.standard_normal((P, d, d)) + 1j * rng.standard_normal((P, d, d))
+    A = X + np.conj(np.swapaxes(X, -1, -2))
+    special = {"zero": np.zeros((d, d)), "identity": np.eye(d),
+               "diagonal": np.diag(rng.standard_normal(d))}
+    if kind == "mixed":
+        A[1:4] = list(special.values())
+    elif kind != "random":
+        A[:] = special[kind]
+    return A
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("P, kind", [(1, "random"), (1, "zero"), (1, "identity"),
+                                     (1, "diagonal"), (40, "mixed")])
+def test_jacobi_eigh_matches_lapack(d, P, kind):
+    A = hermitian_stack(kind, d, P, np.random.default_rng(100 * d + P))
+    lam, V = polymap._jacobi_eigh(np.moveaxis(A, 0, -1).copy())
+    lam, V = lam.T, np.moveaxis(V, -1, 0)
+    ref = np.linalg.eigvalsh(A)
+    scale = np.abs(ref).max(axis=1)
+    assert np.all(np.diff(lam, axis=1) >= 0)
+    assert np.all(np.abs(lam - ref).max(axis=1) <= 1e-13 * scale)
+    recon = V @ (lam[:, :, None] * np.conj(np.swapaxes(V, -1, -2)))
+    assert np.all(np.abs(recon - A).max(axis=(1, 2)) <= 1e-13 * scale)
+    assert np.abs(np.conj(np.swapaxes(V, -1, -2)) @ V - np.eye(d)).max() <= 1e-14
+
+
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (5, 3)])
 def test_householder_qr_matches_lapack(n, k):
     rng = np.random.default_rng(10 * n + k)
     A = rng.standard_normal((40, n, k)) + 1j * rng.standard_normal((40, n, k))
     A[7, :, k - 1] = 0
-    Q, R = polymap._householder_qr(A)
+    Q, R = (np.moveaxis(M, -1, 0) for M in polymap._householder_qr(np.moveaxis(A, 0, -1)))
     Q_ref, R_ref = np.linalg.qr(A, mode="complete")
     assert Q.shape == Q_ref.shape and R.shape == R_ref.shape
     assert np.all(np.isfinite(Q)) and np.all(np.isfinite(R))
@@ -334,7 +388,8 @@ def test_newton_step_matches_a_lapack_qr_reference(monkeypatch):
         w, x = w[ok], w[ok] + 0.5 * noise[1][ok]
         tn, step, slope = polymap._newton_step(F, w, w - x)
         with monkeypatch.context() as m:
-            m.setattr(polymap, "_householder_qr", lambda A: np.linalg.qr(A, mode="complete"))
+            m.setattr(polymap, "_householder_qr", lambda A: tuple(
+                np.moveaxis(M, 0, -1) for M in np.linalg.qr(np.moveaxis(A, -1, 0), mode="complete")))
             tn_ref, step_ref, slope_ref = polymap._newton_step(F, w, w - x)
         assert np.all(np.isfinite(tn_ref))
         assert np.allclose(tn, tn_ref, rtol=1e-10, atol=0)
