@@ -85,8 +85,6 @@ CONFIG_SCHEMA = {
         "k": {"type": "integer", "minimum": 1},
         "n": {"type": "integer", "minimum": 1},
         "d_grid": {"type": "array", "items": {"type": "number", "minimum": 0}},
-        "grid_points": {"type": "array", "items": {"type": "array",
-                                                   "items": _COMPLEX_PAIR}},
     },
     "additionalProperties": False,
 }

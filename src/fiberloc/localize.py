@@ -92,17 +92,6 @@ class LocalizationState:
     sigma_accum: np.ndarray
     fiber_residual_max: float = 0.0
 
-    def validate(self, n: int | None = None) -> None:
-        n = n if n is not None else self.a.shape[0]
-        w = np.linalg.eigvalsh(self.B)
-        if w[0] < LAMBDA_MIN_FLOOR:
-            raise StateError(f"lambda_min(B) = {w[0]} < {LAMBDA_MIN_FLOOR}")
-        if np.trace(self.B).real > n * np.exp(self.t) * (1 + 1e-6):
-            raise StateError("trace bound Tr B <= n e^t violated")
-        g = np.linalg.eigvalsh(hermitianize(self.sigma_accum))
-        if g[-1] > 1 + 1e-6:
-            raise StateError("sigma_accum exceeds Id")
-
 
 @dataclass(frozen=True)
 class ComplexGaussian:

@@ -77,7 +77,8 @@ class PolynomialMap:
                 rows.setdefault(e, np.zeros(k, dtype=complex))[j] += complex(c)
         self._exps = np.array(list(rows), dtype=np.int64).reshape(-1, n)
         self._coeffs = np.array(list(rows.values()), dtype=complex).reshape(-1, k)
-        self._deg = int(self._exps.max(initial=0))
+        # the power table always holds the first power, even where f is constant
+        self._deg = max(1, int(self._exps.max(initial=0)))
         # Df is the derivative table of f's, columns (j, l) for d f_j / dz_l.
         # The second derivatives, that of Df's, are derived on first use
         # (eval_hessian): only the closest-point solver needs them.
@@ -97,24 +98,9 @@ class PolynomialMap:
                 f"Jacobian at base_point is rank-deficient (sigma_min={smin:.3e})"
             )
 
-    # -- serialization (complex numbers as [re, im] pairs) -------------------
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "components": [
-                [
-                    {"coeff": [c.real, c.imag], "exps": [int(e) for e in ev]}
-                    for c, ev in zip(column, self._exps) if c != 0
-                ]
-                for column in self._coeffs.T
-            ],
-            "base_point": [[z.real, z.imag] for z in self.base_point],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "PolynomialMap":
+        """The map of a JSON description: complex numbers as [re, im] pairs."""
         try:
             comps = [
                 [(complex(m["coeff"][0], m["coeff"][1]), m["exps"]) for m in comp]
@@ -478,9 +464,10 @@ def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
     (project_batch) and taken when it is feasible and passes an Armijo
     test on |w - x|^2 whose slack, 2 |w - x| FIBER_TOL, admits the final
     steps that move w by the fiber tolerance; otherwise the step length
-    halves; the step and its slope are computed once per iterate, so a
-    halving costs only the re-projection. A pair stops once its tangential
-    gradient is at most KKT_TOL.
+    halves. The pairs still iterating form a compacted working set, cut
+    into blocks of _NEWTON_BLOCK rows for the Newton step; a pair leaves
+    it by integer index once its tangential gradient is at most KKT_TOL
+    or not finite, or once its step length falls below _STEP_MIN.
 
     Returns (w, dist, ok, kkt). w is the closest feasible point the pair
     visited, or its stationary last iterate when that is at most FIBER_TOL
@@ -491,45 +478,43 @@ def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
     kkt <= KKT_TOL.
     """
     tgt = np.atleast_2d(np.asarray(targets, dtype=complex))
-    w, _, ok, _, _ = project_batch(F, starts, max_iter=_NEWTON_GN_ITER)
-    dist = np.where(ok, np.linalg.norm(w - tgt, axis=1), np.inf)
-    best_w, best = w.copy(), dist.copy()
-    kkt = np.full(w.shape[0], np.inf)
-    at_best = ok.copy()
-    alpha = np.ones(w.shape[0])
-    active = ok.copy()
-    # the Newton step and slope at each pair's current w, and the pairs
-    # that moved since they were computed
-    step = np.zeros_like(w)
-    slope = np.zeros(w.shape[0])
-    fresh = ok.copy()
+    best_w, _, ok, _, _ = project_batch(F, starts, max_iter=_NEWTON_GN_ITER)
+    best = np.where(ok, np.linalg.norm(best_w - tgt, axis=1), np.inf)
+    kkt = np.full(best.shape, np.inf)
+    # the working set: row indices, iterates, distances, step lengths and
+    # whether each iterate is its pair's best point
+    rows = np.flatnonzero(ok)
+    w, dist = best_w[rows], best[rows]
+    alpha, at_best = np.ones(rows.size), np.ones(rows.size, dtype=bool)
     for it in range(_NEWTON_ITER + 1):
-        idx = np.nonzero(active & fresh)[0]
-        if idx.size:
-            parts = [_newton_step(F, w[b], w[b] - tgt[b]) for b in
-                     np.split(idx, range(_NEWTON_BLOCK, idx.size, _NEWTON_BLOCK))]
-            tn, step[idx], slope[idx] = (np.concatenate(p) for p in zip(*parts))
-            fresh[idx] = False
-            stationary = tn <= KKT_TOL
-            here = at_best[idx] | (stationary & (dist[idx] <= best[idx] + FIBER_TOL))
-            j = idx[here]
-            best_w[j], best[j], kkt[j] = w[j], dist[j], tn[here]
-            active[idx[stationary | ~np.isfinite(tn)]] = False
-        idx = np.nonzero(active)[0]
-        if idx.size == 0 or it == _NEWTON_ITER:
+        if rows.size == 0:
             break
-        a, d = alpha[idx], dist[idx]
-        cand, _, feasible, _, _ = project_batch(F, w[idx] + a[:, None] * step[idx],
+        blocks = (slice(s, s + _NEWTON_BLOCK) for s in range(0, rows.size, _NEWTON_BLOCK))
+        parts = [_newton_step(F, w[b], w[b] - tgt[rows[b]]) for b in blocks]
+        tn, step, slope = (np.concatenate(p) for p in zip(*parts))
+        stationary = tn <= KKT_TOL
+        here = np.flatnonzero(at_best | (stationary & (dist <= best[rows] + FIBER_TOL)))
+        j = rows[here]
+        best_w[j], best[j], kkt[j] = w[here], dist[here], tn[here]
+        if it == _NEWTON_ITER:
+            break
+        # a pair leaves once it is stationary or its gradient is not finite
+        keep = np.flatnonzero(~stationary & np.isfinite(tn))
+        rows, w, dist, alpha, at_best, step, slope = (
+            a.take(keep, axis=0) for a in (rows, w, dist, alpha, at_best, step, slope))
+        cand, _, feasible, _, _ = project_batch(F, w + alpha[:, None] * step,
                                                 max_iter=_NEWTON_GN_ITER)
-        cd = np.linalg.norm(cand - tgt[idx], axis=1)
-        take = feasible & (cd * cd <= d * d + 2 * _ARMIJO * a * slope[idx]
-                           + 2 * d * FIBER_TOL)
-        moved = idx[take]
-        w[moved], dist[moved], alpha[moved] = cand[take], cd[take], 1.0
-        at_best[moved] = cd[take] < best[moved]
-        fresh[moved] = True
-        alpha[idx[~take]] *= 0.5
-        active[idx[~take & (alpha[idx] < _STEP_MIN)]] = False
+        cd = np.linalg.norm(cand - tgt[rows], axis=1)
+        take = feasible & (cd * cd <= dist * dist + 2 * _ARMIJO * alpha * slope
+                           + 2 * dist * FIBER_TOL)
+        w = np.where(take[:, None], cand, w)
+        at_best = np.where(take, cd < best[rows], at_best)
+        dist = np.where(take, cd, dist)
+        alpha = np.where(take, 1.0, 0.5 * alpha)
+        # or once its step length falls below _STEP_MIN
+        keep = np.flatnonzero(alpha >= _STEP_MIN)
+        rows, w, dist, alpha, at_best = (
+            a.take(keep, axis=0) for a in (rows, w, dist, alpha, at_best))
     return best_w, best, ok, kkt
 
 

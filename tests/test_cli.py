@@ -44,9 +44,10 @@ def read_stderr_payload(capsys):
 
 def test_map_description_round_trips_through_json():
     F = hyperbola_map()
-    doc = json.loads(json.dumps(F.to_json()))
-    G = PolynomialMap.from_json(doc)
-    assert G.to_json() == F.to_json()
+    G = PolynomialMap.from_json(json.loads(json.dumps(HYPERBOLA)))
+    assert (G.n, G.k) == (F.n, F.k)
+    for a, b in ((G._exps, F._exps), (G._coeffs, F._coeffs), (G.base_point, F.base_point)):
+        assert a.tolist() == b.tolist()
 
 
 def test_bad_exponent_length_exits_1_with_schema_path(tmp_path, capsys):
@@ -60,12 +61,14 @@ def test_bad_exponent_length_exits_1_with_schema_path(tmp_path, capsys):
     assert "$.map.components[0][0].exps" in payload["message"]
 
 
-def test_unknown_config_key_exits_1(tmp_path, capsys):
-    cfg = {"map": HYPERBOLA, "seed": 0, "r_grid": [0.5], "N": 10, "bogus": 1}
+@pytest.mark.parametrize("key, value", [("bogus", 1), ("grid_points", [[[0.0, 0.0]]])],
+                         ids=["bogus", "grid_points"])
+def test_unknown_config_key_exits_1(tmp_path, capsys, key, value):
+    cfg = {"map": HYPERBOLA, "seed": 0, "r_grid": [0.5], "N": 10, key: value}
     rc = cli.main(["tube", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path)])
     assert rc == 1
-    assert "bogus" in read_stderr_payload(capsys)["message"]
+    assert key in read_stderr_payload(capsys)["message"]
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

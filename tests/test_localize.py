@@ -8,6 +8,7 @@ from fiberloc import (
     StateError,
     ValidationError,
     affine_map,
+    hermitianize,
     hyperbola_map,
     paraboloid_map,
     path_rng,
@@ -20,6 +21,15 @@ from fiberloc import (
 from fiberloc.localize import (LAMBDA_MIN_FLOOR, _advance, _annihilate,
                                _increment_block, _sigma_pieces)
 from fiberloc.polymap import eval_jacobian, residual_norm
+
+
+def assert_state_invariants(st):
+    """lambda_min(B) >= LAMBDA_MIN_FLOOR, Tr B <= n e^t, and the running
+    integral of Sigma Sigma^* below Id, each up to 1e-6."""
+    n = st.a.shape[0]
+    assert np.linalg.eigvalsh(st.B)[0] >= LAMBDA_MIN_FLOOR
+    assert np.trace(st.B).real <= n * np.exp(st.t) * (1 + 1e-6)
+    assert np.linalg.eigvalsh(hermitianize(st.sigma_accum))[-1] <= 1 + 1e-6
 
 
 def make_state(F, a, B, t=0.0):
@@ -184,7 +194,7 @@ def test_step_keeps_b_monotone():
         assert inc[0] >= -1e-12
         assert np.linalg.eigvalsh(B[0])[0] >= 1 - 1e-10
         st = LocalizationState(t=st.t + h, a=a[0], B=B[0], sigma_accum=accum[0])
-    st.validate()
+    assert_state_invariants(st)
 
 
 def test_step_matches_run_paths_bitwise():
@@ -417,4 +427,4 @@ def test_codim2_paths_stay_valid():
     assert np.all(out.record_lambda_min >= LAMBDA_MIN_FLOOR)
     assert np.all(out.record_trace <= 3 * np.exp(out.record_t)[:, None] * (1 + 1e-6))
     for i in range(20):
-        out.state(i).validate()
+        assert_state_invariants(out.state(i))

@@ -21,12 +21,14 @@ from fiberloc.polymap import (
     project_batch,
     residual_norm,
 )
+from test_localize import codim2_map
 
 
-def random_cubic_map(seed=0):
-    """A fixed random map C^3 -> C^2 with monomials up to degree 3.
+def random_cubic_components(seed=0):
+    """Components of a fixed random map C^3 -> C^2 with monomials up to
+    degree 3, and its base point.
 
-    Built to vanish at a chosen base point by subtracting its value there.
+    Built to vanish at the base point by subtracting its value there.
     """
     rng = np.random.default_rng(seed)
     exps = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0], [1, 1, 0],
@@ -38,7 +40,11 @@ def random_cubic_map(seed=0):
         val = sum(ci * np.prod(base ** np.array(e)) for ci, e in zip(c, exps))
         mono = list(zip(c, exps)) + [(-val, [0, 0, 0])]
         comps.append(mono)
-    return PolynomialMap(3, 2, comps, base)
+    return comps, base
+
+
+def random_cubic_map(seed=0):
+    return PolynomialMap(3, 2, *random_cubic_components(seed))
 
 
 def monomial_sum(comp, z):
@@ -287,6 +293,34 @@ def test_minimizer_masks_a_singular_row():
     assert np.allclose(dist[finite], np.linalg.norm(w - targets, axis=1)[finite], rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("make", [hyperbola_map, quintic_map, codim2_map],
+                         ids=["hyperbola", "quintic", "codim2"])
+def test_the_minimizer_does_not_depend_on_its_blocks(make, monkeypatch):
+    # every pair's Newton step depends on that pair alone, so cutting the
+    # working set into blocks of 7 rows gives the same bits as the default
+    F = make()
+    rng = np.random.default_rng(41)
+    targets = rng.standard_normal((300, F.n)) + 1j * rng.standard_normal((300, F.n))
+    starts = targets + 3 * (rng.standard_normal((300, F.n)) + 1j * rng.standard_normal((300, F.n)))
+    starts[::5] = 0.0
+    starts[1::9] = np.nan
+    ref = minimize_fiber_distance(F, targets, starts)
+    assert 0 < ref[2].sum() < len(starts) and np.all(ref[3][ref[2]] <= KKT_TOL)
+    monkeypatch.setattr(polymap, "_NEWTON_BLOCK", 7)
+    for blocked, whole in zip(minimize_fiber_distance(F, targets, starts), ref):
+        assert np.array_equal(blocked, whole, equal_nan=True)
+
+
+def test_the_minimizer_returns_at_once_without_a_feasible_start(monkeypatch):
+    # the hyperbola's Jacobian vanishes at the origin: no start there projects
+    F = hyperbola_map()
+    monkeypatch.setattr(polymap, "_newton_step", None)
+    targets = np.ones((4, 2), dtype=complex)
+    _, dist, ok, kkt = minimize_fiber_distance(F, targets, np.zeros((4, 2)))
+    assert not ok.any()
+    assert np.all(dist == np.inf) and np.all(kkt == np.inf)
+
+
 # ---------------------------------------------------------------------------
 # Stack-wide kernels: the same bits for a point alone as in a stack, and
 # agreement with the per-matrix LAPACK formulas they replace
@@ -442,11 +476,21 @@ def test_projection_matches_the_eigvalsh_and_solve_formula():
 # ---------------------------------------------------------------------------
 # Serialization, rescaling and validation
 
+def map_description(components, base):
+    """The JSON description of a map: complex numbers as [re, im] pairs."""
+    return {"n": len(base), "k": len(components),
+            "components": [[{"coeff": [complex(c).real, complex(c).imag],
+                             "exps": [int(e) for e in ev]} for c, ev in comp]
+                           for comp in components],
+            "base_point": [[z.real, z.imag] for z in np.asarray(base, dtype=complex)]}
+
+
 def test_json_round_trip():
     rng = np.random.default_rng(13)
     pts = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    for F in (random_cubic_map(), quintic_map()):
-        G = PolynomialMap.from_json(F.to_json())
+    for comps, base in (random_cubic_components(), quintic_components()):
+        F = PolynomialMap(3, 2, comps, base)
+        G = PolynomialMap.from_json(map_description(comps, base))
         assert np.allclose(eval_map(F, pts), eval_map(G, pts))
         assert np.allclose(F.base_point, G.base_point)
 
@@ -475,6 +519,16 @@ def test_constructor_rejects_singular_base():
     # f = z_1^2 vanishes to second order at 0
     with pytest.raises(ValidationError):
         PolynomialMap(2, 1, [[(1.0, [2, 0])]], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("c, message", [(0.0, "rank-deficient"), (2.0, "residual")])
+def test_a_constant_map_is_refused_by_its_own_checks(c, message):
+    # with every exponent zero the power table once lacked the first power
+    # and the evaluation failed before the base-point checks could run
+    with pytest.raises(ValidationError, match=message):
+        PolynomialMap(2, 1, [[(c, [0, 0])]], [0.0, 0.0])
+    with pytest.raises(ValidationError, match=message):
+        PolynomialMap.from_json(map_description([[(c, [0, 0])]], [0.0, 0.0]))
 
 
 def test_constructor_rejects_bad_shapes():
