@@ -22,6 +22,7 @@ SERIES_MAX_TERMS = 100_000
 # The off-center series starts from exp(-d^2/2) and exp(-r^2/2); past this
 # exponent they leave the normal float range and the sum loses its value.
 SERIES_MAX_EXPONENT = -math.log(np.finfo(float).tiny)     # 708.39...
+TILT_TOL = 1e-6        # slack of the tilt check's quadrature comparison
 
 
 # ---------------------------------------------------------------------------
@@ -130,42 +131,72 @@ class BoundedExp:
         self.label = f"bounded_exp(M={self.M})"
 
 
-def _phi(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2))
+def _phi(x):
+    return 0.5 * np.vectorize(math.erfc, otypes=[float])(-x / math.sqrt(2))
 
 
-def _linear_marginal(mu: ComplexGaussian, u: np.ndarray) -> tuple[float, float]:
+def _mills(z):
+    """Mills ratio R(z) = Phi(-z) / phi(z) at z >= 0: from erfc below
+    z = 36, from its asymptotic series (1/z) sum (-1)^j (2j-1)!! / z^{2j}
+    above, where erfc underflows. Each form is evaluated on a clipped z."""
+    zc = np.clip(z, 0.0, 36.0)
+    near = math.sqrt(2 * math.pi) * _phi(-zc) * np.exp(zc * zc / 2)
+    iz = 1 / np.maximum(z, 36.0)
+    far = 1.0
+    for c in range(15, 0, -2):
+        far = 1 - c * iz * iz * far
+    return np.where(z < 36.0, near, iz * far)
+
+
+def _linear_marginal(mu: ComplexGaussian, u: np.ndarray):
     # Re(u^* z) is Gaussian with mean Re(u^* a) and variance u^* A u / 2.
-    if u.shape != mu.center.shape:
+    if u.shape != mu.center.shape[-1:]:
         raise ValidationError("direction dimension mismatch")
-    m = float(np.real(u.conj() @ mu.center))
-    var = float(np.real(u.conj() @ (mu.covariance @ u))) / 2
-    return m, math.sqrt(max(var, 0.0))
+    m = np.real(mu.center @ u.conj())
+    var = np.real((mu.covariance @ u) @ u.conj()) / 2
+    return m, np.sqrt(np.maximum(var, 0.0))
 
 
-def gaussian_expectation(mu: ComplexGaussian, phi) -> float:
-    """Expectation of a supported test functional under a complex Gaussian.
+def _bounded_exp(m, s, M: float):
+    """E min(e^X, M) for X ~ N(m, s^2), s = 0 included, without overflow.
+
+    With t = log M, y = (t - m) / s and z = s - y it is
+    e^{m + s^2/2} Phi(-z) + M Phi(-y). Where z > 0 the first term is
+    M phi(y) R(z), since e^{m + s^2/2} phi(z) = M phi(y).
+    """
+    t = math.log(M)
+    s1 = np.where(s > 0, s, 1.0)
+    y = (t - m) / s1
+    z = s1 - y
+    # where z <= 0, m + s^2/2 <= (m + t)/2 <= t: the clip only guards the other rows
+    low = np.exp(np.minimum(m + s1 * s1 / 2, t)) * _phi((t - m - s1 * s1) / s1)
+    yc = np.minimum(np.abs(y), 40.0)            # phi vanishes in floats past 38.6
+    high = M * np.exp(-yc * yc / 2) / math.sqrt(2 * math.pi) * _mills(z)
+    first = np.where(z <= 0, low, high)
+    return np.where(s > 0, first + M * _phi(-y), np.minimum(np.exp(np.minimum(m, t)), M))
+
+
+def gaussian_expectation(mu: ComplexGaussian, phi) -> float | np.ndarray:
+    """Expectation of a supported test functional under a complex Gaussian
+    (a float), or under each Gaussian of a stack (an array of shape (P,)).
 
     All supported functionals reduce to closed forms of a one-real-
     dimensional marginal, valid also on rank-deficient support.
     """
     if isinstance(phi, One):
-        return 1.0
-    if isinstance(phi, SqNorm):
-        return float(np.linalg.norm(mu.center) ** 2 + np.real(np.trace(mu.covariance)))
-    if isinstance(phi, HalfSpace):
+        val = np.ones(mu.center.shape[:-1])
+    elif isinstance(phi, SqNorm):
+        val = (np.linalg.norm(mu.center, axis=-1) ** 2
+               + np.real(np.trace(mu.covariance, axis1=-2, axis2=-1)))
+    elif isinstance(phi, HalfSpace):
         m, s = _linear_marginal(mu, phi.u)
-        if s == 0.0:
-            return 1.0 if m > phi.c else (0.5 if m == phi.c else 0.0)
-        return _phi((m - phi.c) / s)
-    if isinstance(phi, BoundedExp):
-        m, s = _linear_marginal(mu, phi.u)
-        if s == 0.0:
-            return min(math.exp(m), phi.M)
-        t = math.log(phi.M)
-        return (math.exp(m + s * s / 2) * _phi((t - m - s * s) / s)
-                + phi.M * (1.0 - _phi((t - m) / s)))
-    raise ValidationError(f"unsupported functional {phi!r}")
+        x = m - phi.c
+        val = np.where(s == 0.0, (np.sign(x) + 1) / 2, _phi(x / np.where(s > 0, s, 1.0)))
+    elif isinstance(phi, BoundedExp):
+        val = _bounded_exp(*_linear_marginal(mu, phi.u), phi.M)
+    else:
+        raise ValidationError(f"unsupported functional {phi!r}")
+    return val if val.ndim else float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +239,7 @@ class TiltCheck:
     holds: bool
 
 
-def tilt_inequality_check(B: np.ndarray, v: np.ndarray, R: float,
-                          tol: float = 1e-6) -> TiltCheck:
+def tilt_inequality_check(B: np.ndarray, v: np.ndarray, R: float) -> TiltCheck:
     """Check the curved-Gaussian tilt inequality on C^k (k <= 2).
 
     For a centered complex Gaussian mu with precision B >= Id:
@@ -238,7 +268,7 @@ def tilt_inequality_check(B: np.ndarray, v: np.ndarray, R: float,
     gk = math.exp(-float(np.linalg.norm(v) ** 2) / 2) * _tilted_disc_mass(
         np.ones(k), v, R, nodes)
     rhs = gk * total
-    return TiltCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs - tol)
+    return TiltCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs - TILT_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ def hermitianize(A: np.ndarray) -> np.ndarray:
     return (A + np.conj(np.swapaxes(A, -1, -2))) / 2
 
 
-def check_hermitian(A: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Validate that A is square and Hermitian to relative tolerance rtol.
+def check_hermitian(A: np.ndarray) -> np.ndarray:
+    """Validate that A is square and Hermitian to relative tolerance HERMITIAN_RTOL.
 
     Returns the exactly symmetrized copy used by all downstream solvers.
     """
@@ -28,9 +28,9 @@ def check_hermitian(A: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {A.shape}")
     scale = max(np.linalg.norm(A), 1.0)
     dev = np.linalg.norm(A - A.conj().T)
-    if dev > rtol * scale:
+    if dev > HERMITIAN_RTOL * scale:
         raise ValidationError(
-            f"matrix is not Hermitian: asymmetry {dev:.3e} exceeds {rtol:.1e} relative"
+            f"matrix is not Hermitian: asymmetry {dev:.3e} exceeds {HERMITIAN_RTOL:.1e} relative"
         )
     return hermitianize(A)
 

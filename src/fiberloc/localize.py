@@ -80,7 +80,7 @@ def potential_eval(p: QuadraticPotential, z: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LocalizationState:
-    """One path of the localization process at time t.
+    """One path of the localization process at time t, or a stack of paths.
 
     sigma_accum houses the running integral of Sigma Sigma^*, used for the
     accumulation identity sigma_accum = Id - B^{-1} (exact in the limit).
@@ -95,11 +95,11 @@ class LocalizationState:
 
 @dataclass(frozen=True)
 class ComplexGaussian:
-    """Gaussian on C^n supported on an affine subspace: center + complex covariance."""
+    """Gaussian on C^n, or a stack of them, on an affine subspace: center + complex covariance."""
 
     center: np.ndarray
     covariance: np.ndarray
-    support_dim: int
+    support_dim: int | np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=complex))
@@ -115,24 +115,23 @@ def standard_gaussian(n: int) -> ComplexGaussian:
 
 def terminal_gaussian(state: LocalizationState, rank_tol: float = DEFAULT_RANK_TRUNCATION,
                       k: int | None = None) -> ComplexGaussian:
-    """The Gaussian with center a_t and covariance 2 B_t^{-1}, rank-truncated.
+    """The rank-truncated Gaussian N(a_t, 2 B_t^{-1}) of one path or a stack of them.
 
     Covariance eigenvalues below rank_tol are zeroed; support_dim counts the
     survivors. When the codimension k of the fiber is supplied, the decay
-    bound lambda_{n-k}(2 B_t^{-1}) <= 2 n (k+1) / t is asserted.
+    bound lambda_{n-k}(2 B_t^{-1}) <= 2 n (k+1) / t is asserted on every path.
     """
     w, V = np.linalg.eigh(hermitianize(state.B))
-    avals = 2.0 / w[::-1]            # ascending eigenvalues of 2 B^{-1}
-    n = w.shape[0]
+    n = w.shape[-1]
     if k is not None and 0 < k < n and state.t > 0:
         bound = 2 * n * (k + 1) / state.t
-        if avals[n - k - 1] > bound * (1 + 1e-9):
-            raise StateError(
-                f"covariance decay bound violated: {avals[n - k - 1]:.3e} > {bound:.3e}"
-            )
+        worst = np.max(2.0 / w[..., k])
+        if worst > bound * (1 + 1e-9):
+            raise StateError(f"covariance decay bound violated: {worst:.3e} > {bound:.3e}")
     keep = 2.0 / w >= rank_tol
-    cov = (V * np.where(keep, 2.0 / w, 0.0)) @ V.conj().T
-    return ComplexGaussian(state.a.copy(), cov, int(np.sum(keep)))
+    cov = (V * np.where(keep, 2.0 / w, 0.0)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+    dim = np.sum(keep, axis=-1)
+    return ComplexGaussian(state.a.copy(), cov, dim if dim.ndim else int(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +254,10 @@ class BatchResult:
     def n_aborted(self) -> int:
         return int(np.sum(self.aborted))
 
-    def state(self, i: int) -> LocalizationState:
+    def state(self, i: int | np.ndarray) -> LocalizationState:
         return LocalizationState(
             t=self.t, a=self.a[i], B=self.B[i], sigma_accum=self.sigma_accum[i],
-            fiber_residual_max=float(self.fiber_residual_max[i]),
+            fiber_residual_max=self.fiber_residual_max[i],
         )
 
 

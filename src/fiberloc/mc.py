@@ -27,6 +27,7 @@ _TAG_SAMPLES = 2**48
 _TAG_STARTS = 2**49
 
 DEFAULT_STARTS = 9     # sample projection plus 8 perturbed starts
+WILSON_Z = 3.0         # sigma level of the Wilson interval of p_hat
 # Samples per block of perturbed starts, each block drawn from its own
 # sub-stream, and samples per minimizer batch (rounded to whole blocks);
 # the distances depend on neither.
@@ -244,13 +245,11 @@ def mixture_check(F: PolynomialMap, T: float, h: float, n_paths: int,
         raise ValidationError("need at least 2 paths")
     _require_origin_base(F)
     out = run_paths(F, T, h, seed, n_paths, record_every=_FINAL_RECORD_ONLY)
-    live = _live_paths(out)
-    mus = [terminal_gaussian(out.state(i), rank_tol=rank_tol, k=F.k)
-           for i in live]
+    mus = terminal_gaussian(out.state(_live_paths(out)), rank_tol=rank_tol, k=F.k)
     ref_mu = standard_gaussian(F.n)
     rows = []
     for phi in functionals:
-        vals = np.array([gaussian_expectation(mu, phi) for mu in mus])
+        vals = gaussian_expectation(mus, phi)
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(len(vals)))
         ref = gaussian_expectation(ref_mu, phi)
@@ -305,15 +304,15 @@ def center_law_sample(F: PolynomialMap, T: float, h: float, n_paths: int,
 # ---------------------------------------------------------------------------
 # Confidence intervals
 
-def confidence_interval(hits: int, N: int, z: float = 3.0):
-    """(p_hat, normal stderr, Wilson low, Wilson high) at the z-sigma level."""
+def confidence_interval(hits: int, N: int):
+    """(p_hat, normal stderr, Wilson low, Wilson high) at the WILSON_Z-sigma level."""
     if N < 1:
         raise ValidationError("sample count must be >= 1")
     if not (0 <= hits <= N):
         raise ValidationError(f"hits must lie in [0, {N}], got {hits}")
     p = hits / N
     stderr = float(np.sqrt(p * (1 - p) / N))
-    denom = 1 + z * z / N
-    center = (p + z * z / (2 * N)) / denom
-    half = z * np.sqrt(p * (1 - p) / N + z * z / (4 * N * N)) / denom
+    denom = 1 + WILSON_Z**2 / N
+    center = (p + WILSON_Z**2 / (2 * N)) / denom
+    half = WILSON_Z * np.sqrt(p * (1 - p) / N + WILSON_Z**2 / (4 * N * N)) / denom
     return p, stderr, max(center - half, 0.0), min(center + half, 1.0)

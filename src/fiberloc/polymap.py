@@ -71,9 +71,9 @@ class PolynomialMap:
         rows: dict = {}
         for j, comp in enumerate(components):
             for c, e in comp:
-                e = tuple(int(x) for x in e)
-                if len(e) != n or min(e, default=0) < 0:
+                if len(e) != n or not all(float(x).is_integer() and x >= 0 for x in e):
                     raise ValidationError("exponent vectors must hold n nonnegative integers")
+                e = tuple(int(x) for x in e)
                 rows.setdefault(e, np.zeros(k, dtype=complex))[j] += complex(c)
         self._exps = np.array(list(rows), dtype=np.int64).reshape(-1, n)
         self._coeffs = np.array(list(rows.values()), dtype=complex).reshape(-1, k)
@@ -107,9 +107,10 @@ class PolynomialMap:
                 for comp in obj["components"]
             ]
             base = [complex(p[0], p[1]) for p in obj["base_point"]]
-            return cls(obj["n"], obj["k"], comps, base)
+            n, k = obj["n"], obj["k"]
         except (KeyError, TypeError, IndexError) as exc:
             raise ValidationError(f"malformed map description: {exc}") from exc
+        return cls(n, k, comps, base)
 
     def rescaled(self, weights: np.ndarray) -> "PolynomialMap":
         """The map g(u) = f(u / w) in the coordinates u = diag(w) z.

@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line (run with pytest -s to see them all);
 the slow shared simulations live in module-scoped fixtures. The module
-takes about 2.5 minutes on a 2-core x86 VM, the whole suite about 3.
+takes about 85 s on a 2-core x86 VM, the whole suite about 125 s.
 """
 
 import numpy as np

@@ -313,6 +313,18 @@ def test_mixture_report(tmp_path):
     assert doc["rows"][0]["mixture_mean"] == pytest.approx(1.0)
 
 
+def test_mixture_bounded_exp_past_the_exponent_range(tmp_path):
+    # s ~ 40 on the first axis puts e^{m + s^2/2} past the float range
+    cfg = {"map": PARABOLOID, "seed": 1, "T": 0.02, "h": 2e-3, "n_paths": 20,
+           "functionals": [{"bounded_exp": {"u": [[40, 0], [0, 0]], "M": 10}}]}
+    rc = cli.main(["mixture", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+    assert rc in (cli.EXIT_OK, cli.EXIT_VERDICT)
+    row, = json.loads((tmp_path / "mixture_report.json").read_text())["rows"]
+    assert 0.0 <= row["mixture_mean"] <= 10.0
+    assert row["reference"] == pytest.approx(4.870128707990279, rel=1e-15)
+
+
 def test_centerlaw_outputs(tmp_path):
     cfg = {"map": AFFINE, "seed": 2, "T": 1.0, "h": 5e-3, "n_paths": 20}
     rc = cli.main(["centerlaw", "--config", write_config(tmp_path, cfg),

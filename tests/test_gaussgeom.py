@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from fiberloc import (
     BoundedExp,
@@ -167,6 +167,7 @@ def test_expectation_degenerate_support():
     mu = ComplexGaussian(np.array([0.7, 0.0]), np.diag([0.0, 2.0]), 1)
     assert gaussian_expectation(mu, HalfSpace([1.0, 0.0])) == 1.0
     assert gaussian_expectation(mu, HalfSpace([1.0, 0.0], c=1.0)) == 0.0
+    assert gaussian_expectation(mu, HalfSpace([1.0, 0.0], c=0.7)) == 0.5
     assert gaussian_expectation(mu, BoundedExp([1.0, 0.0], M=10.0)) == pytest.approx(
         math.exp(0.7))
 
@@ -179,6 +180,83 @@ def test_expectation_rejects_unknown_functional():
 def test_bounded_exp_rejects_bad_cap():
     with pytest.raises(ValidationError):
         BoundedExp([1.0], M=0.0)
+
+
+def bounded_exp_by_quadrature(m, s, M):
+    """E min(e^X, M) for X ~ N(m, s^2): the part below the cap by
+    quadrature in x = (X - m) / s, the part at the cap in closed form."""
+    y = (math.log(M) - m) / s
+    below = integrate.quad(lambda x: math.exp(m + s * x - x * x / 2) / math.sqrt(2 * math.pi),
+                           -np.inf, y, epsabs=0, epsrel=1e-12, limit=200)[0]
+    return below + M * stats.norm.sf(y)
+
+
+def line_gaussian(m, s):
+    """A Gaussian on C whose real part is N(m, s^2)."""
+    return ComplexGaussian(np.array([m + 0j]), np.array([[2 * s * s]]), 1)
+
+
+@pytest.mark.parametrize("m, s, M, want", [(0, 40, 10, 4.870128707990279),
+                                           (2, 100, 3, 1.5227534114373942),
+                                           (50, 1000, 1e6, 514831.0396091995)])
+def test_bounded_exp_where_the_uncapped_mean_overflows(m, s, M, want):
+    # e^{m + s^2/2} is past the float range; the expectation is at most M
+    assert gaussian_expectation(line_gaussian(m, s), BoundedExp([1.0], M)) == pytest.approx(
+        want, rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [-5.0, 0.3, 50.0])
+@pytest.mark.parametrize("s", [0.5, 5.0, 28.0, 40.0, 1000.0])
+def test_bounded_exp_matches_quadrature(m, s):
+    # z = s - (log M - m) / s runs from -37 to 1000 over this grid: the plain
+    # closed form, the erfc form of the Mills ratio and its asymptotic series
+    for M in (0.5, 10.0, 1e6):
+        got = gaussian_expectation(line_gaussian(m, s), BoundedExp([1.0], M))
+        assert got == pytest.approx(bounded_exp_by_quadrature(m, s, M), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Expectations over a stack of Gaussians
+
+P_STACK = 12
+
+
+def gaussian_stack():
+    """P_STACK Gaussians on C^2 with random centers and covariances; the
+    last two have no variance along the first axis."""
+    rng = np.random.default_rng(29)
+    G = rng.standard_normal((P_STACK, 2, 2)) + 1j * rng.standard_normal((P_STACK, 2, 2))
+    A = G @ np.conj(np.swapaxes(G, -1, -2)) * rng.uniform(0.05, 1.5, (P_STACK, 1, 1))
+    A[-2:] = np.diag([0.0, 2.0])
+    center = rng.standard_normal((P_STACK, 2)) + 1j * rng.standard_normal((P_STACK, 2))
+    center[-1, 0] = 0.2
+    return ComplexGaussian(center, A, np.full(P_STACK, 2))
+
+
+def stack_rows(mu, rows):
+    return ComplexGaussian(mu.center[rows], mu.covariance[rows], mu.support_dim[rows])
+
+
+STACK_FUNCTIONALS = [One(), SqNorm(), HalfSpace([1.0, 0.5j], c=0.2), HalfSpace([1.0, 0.0], c=0.2),
+                     BoundedExp([1.0, 0.0], M=3.0), BoundedExp([40.0, 0.0], M=10.0),
+                     BoundedExp([0.5, -0.3j], M=1e6)]
+
+
+@pytest.mark.parametrize("phi", STACK_FUNCTIONALS,
+                         ids=["one", "sq_norm", "half_space", "half_space_axis",
+                              "bounded_exp", "bounded_exp_wide", "bounded_exp_tilted"])
+def test_a_stack_of_gaussians_is_its_rows(phi):
+    mu = gaussian_stack()
+    vals = gaussian_expectation(mu, phi)
+    assert vals.shape == (P_STACK,)
+    # a row does not depend on the other rows
+    halves = [gaussian_expectation(stack_rows(mu, rows), phi)
+              for rows in (slice(0, 5), slice(5, None))]
+    assert np.array_equal(vals, np.concatenate(halves))
+    for i in range(P_STACK):
+        alone = gaussian_expectation(stack_rows(mu, i), phi)
+        assert type(alone) is float
+        assert alone == pytest.approx(vals[i], rel=1e-15, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,41 @@ def test_terminal_gaussian_decay_bound_enforced():
         terminal_gaussian(st, k=1)
 
 
+@pytest.mark.parametrize("make", [lambda: paraboloid_map(2), lambda: codim2_map()],
+                         ids=["paraboloid", "codim2"])
+def test_terminal_gaussians_of_a_stack_are_its_rows(make):
+    F = make()
+    out = run_paths(F, T=1.0, h=5e-3, seed=21, n_paths=9)
+    mu = terminal_gaussian(out.state(np.arange(9)), k=F.k)
+    # a row does not depend on the other rows
+    halves = [terminal_gaussian(out.state(np.arange(lo, hi)), k=F.k) for lo, hi in ((0, 4), (4, 9))]
+    for field in ("center", "covariance", "support_dim"):
+        assert np.array_equal(getattr(mu, field),
+                              np.concatenate([getattr(g, field) for g in halves]))
+    for i in range(9):
+        alone = terminal_gaussian(out.state(i), k=F.k)
+        assert type(alone.support_dim) is int and alone.support_dim == mu.support_dim[i]
+        assert np.array_equal(alone.center, mu.center[i])
+        np.testing.assert_allclose(alone.covariance, mu.covariance[i], rtol=0, atol=1e-15)
+
+
+def stacked_state(diagonals, t):
+    B = np.array([np.diag(d) for d in diagonals], dtype=complex)
+    return LocalizationState(t=t, a=np.zeros(B.shape[:2], dtype=complex), B=B,
+                             sigma_accum=np.eye(B.shape[1]) - np.linalg.inv(B))
+
+
+def test_terminal_gaussians_truncate_and_check_every_row():
+    # eigenvalues of 2 B^{-1}: (2, 0.02) keeps both at rank_tol 1e-2, (2, 0.002) one
+    mu = terminal_gaussian(stacked_state([[1.0, 100.0], [1.0, 1000.0]], t=10.0), k=1)
+    assert mu.support_dim.tolist() == [2, 1]
+    # at t = 10 the decay bound is 2 n (k+1) / t = 0.8; the second and third
+    # rows break it with 1 and 2, and the error names the worst
+    st = stacked_state([[1.0, 100.0], [1.0, 2.0], [1.0, 1.0], [1.0, 1000.0]], t=10.0)
+    with pytest.raises(StateError, match=r"2\.000e\+00 > 8\.000e-01"):
+        terminal_gaussian(st, k=1)
+
+
 def test_run_rejects_bad_parameters():
     F = affine_map(2)
     with pytest.raises(ValidationError):

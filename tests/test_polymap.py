@@ -500,6 +500,16 @@ def test_json_rejects_malformed():
         PolynomialMap.from_json({"n": 2, "k": 1})
 
 
+def test_json_lets_the_constructors_own_errors_through(monkeypatch):
+    # only a malformed description is reported as one
+    def broken(*args):
+        raise IndexError("inside the constructor")
+
+    monkeypatch.setattr(polymap, "_plan", broken)
+    with pytest.raises(IndexError, match="inside the constructor"):
+        PolynomialMap.from_json(map_description(*random_cubic_components()))
+
+
 def test_rescaled_map_transplants_fiber():
     F = hyperbola_map()
     w = np.array([1.0, 2.0])
@@ -536,3 +546,9 @@ def test_constructor_rejects_bad_shapes():
         PolynomialMap(2, 1, [[(1.0, [1, 0, 0])]], [0.0, 0.0])
     with pytest.raises(ValidationError):
         PolynomialMap(2, 3, [[(1.0, [1, 0])]] * 3, [0.0, 0.0])
+
+
+def test_constructor_rejects_fractional_exponents():
+    # z_1^1.5 - 1 was once truncated to z_1 - 1 without a word
+    with pytest.raises(ValidationError, match="integers"):
+        PolynomialMap(2, 1, [[(1.0, [1.5, 0]), (-1.0, [0, 0])]], [1.0, 0.0])
