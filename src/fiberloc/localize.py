@@ -12,14 +12,17 @@ Sigma dW the same law. The exact process keeps the center on the zero set;
 the discretization leaks off at O(h) and is re-projected by Gauss-Newton
 after every step.
 
-No step takes a matrix square root. With J the Jacobian at the center and
-M = J B^{-1} J^*, the B update is the subtraction form
-B^{1/2} pi B^{1/2} = B - J^* M^{-1} J, and Sigma is built from the
-Cholesky factor L of B^{-1} as (Id - B^{-1} J^* M^{-1} J) L / sqrt(n).
+No step takes a matrix square root or an inverse. With J the Jacobian at
+the center and M = J B^{-1} J^*, the B update is the subtraction form
+B^{1/2} pi B^{1/2} = B - J^* M^{-1} J, a change of rank k, so B^{-1} is
+carried along by the Woodbury identity (see _advance), starting at Id.
+Sigma is (Id - B^{-1} J^* M^{-1} J) L / sqrt(n), L the Cholesky factor of
+the carried B^{-1}.
 
 One kernel (_advance) performs the projected Euler-Maruyama step for a
-stack of paths. The batched engine run_paths drives it for every live
-path in lockstep, and run_path is a one-path wrapper over run_paths.
+stack of paths held P-last, as the linalg kernels hold them. The batched
+engine run_paths drives it for every live path in lockstep, and run_path
+is a one-path wrapper over run_paths.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PathAbort, StateError, ValidationError
-from .linalg import hermitianize
+from .linalg import _cholesky, _gram, _jacobi_eigh, _mm, hermitianize
 from .polymap import (RANK_TOL, PolynomialMap, eval_jacobian, project_batch,
                       residual_norm)
 
@@ -146,13 +149,16 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _increment_block(rng: np.random.Generator, h: float, n: int, m: int) -> np.ndarray:
-    """m consecutive increments of the complex Brownian motion over steps
-    of length h, shape (m, n). Each coordinate is g1 + i g2 with independent
-    N(0, h) parts, so E|dW^j|^2 = 2h. The stream is consumed increment after
-    increment, so m draws equal any split of them into consecutive blocks."""
+def _increment_block(rng: np.random.Generator, h: float, out: np.ndarray) -> None:
+    """Fill out (m, n) with m consecutive increments of the complex Brownian
+    motion over steps of length h: each coordinate is g1 + i g2 with
+    independent N(0, h) parts, so E|dW^j|^2 = 2h. An increment draws its n
+    real parts, then its n imaginary parts, so m draws equal any split of
+    them into consecutive blocks."""
+    m, n = out.shape
     g = rng.standard_normal((m, 2 * n))
-    return np.sqrt(h) * (g[:, :n] + 1j * g[:, n:])
+    np.multiply(np.sqrt(h), g[:, :n], out=out.real)
+    np.multiply(np.sqrt(h), g[:, n:], out=out.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -164,68 +170,61 @@ def _rows(mask: np.ndarray):
     return slice(None) if mask.all() else np.nonzero(mask)[0]
 
 
-def _sigma_pieces(F: PolynomialMap, a: np.ndarray, B: np.ndarray):
-    """Batched diffusion data at centers a (P, n) with matrices B (P, n, n).
+def _sigma_pieces(F: PolynomialMap, a: np.ndarray, Binv: np.ndarray):
+    """Diffusion data at centers a (n, P) with inverse matrices Binv (n, n, P).
 
-    Returns (L, Binv, Jh, BiJh, MiJ, singular). singular flags paths whose
-    Jacobian J has sigma_min below RANK_TOL; the others are stacked over
-    the remaining rows only: the Cholesky factor L of B^{-1}, B^{-1}, J^*,
-    B^{-1} J^* and M^{-1} J with M = J B^{-1} J^*. With them
-
-        B^{1/2} pi B^{1/2} = B - J^* M^{-1} J,
-        B^{-1/2} pi B^{-1/2} = B^{-1} - B^{-1} J^* M^{-1} J B^{-1},
-
-    and Sigma = (Id - B^{-1} J^* M^{-1} J) L / sqrt(n) (see _annihilate).
+    Returns (L, U, W, lam, singular, live). singular flags paths whose
+    Jacobian J has sigma_min below RANK_TOL (eigenvalues of J J^*); live
+    indexes the others (_rows), over which the rest is stacked: the
+    Cholesky factor L of B^{-1}, and with M = J B^{-1} J^* = V diag(lam) V^*,
+    U = J^* V and W = B^{-1} J^* V, so that J^* M^{-1} J = U diag(1/lam) U^*.
     """
-    J = eval_jacobian(F, a)
-    Jh = np.conj(np.swapaxes(J, -1, -2))
-    gmin = np.linalg.eigvalsh(J @ Jh)[:, 0]
-    singular = gmin < RANK_TOL**2
+    Jh = np.conj(eval_jacobian(F, a.T).transpose(2, 1, 0), order="C")
+    singular = _jacobi_eigh(_gram(Jh))[0][0] < RANK_TOL**2
     live = _rows(~singular)
-    J, Jh = J[live], Jh[live]
-    Binv = np.linalg.inv(B[live])
-    BiJh = Binv @ Jh
-    MiJ = np.linalg.solve(J @ BiJh, J)
-    return np.linalg.cholesky(Binv), Binv, Jh, BiJh, MiJ, singular
-
-
-def _annihilate(X: np.ndarray, BiJh: np.ndarray, MiJ: np.ndarray) -> np.ndarray:
-    """X - B^{-1} J^* M^{-1} J X for a stack of columns X (P, n, m), by
-    products of rank k; the result is annihilated by J."""
-    return X - BiJh @ (MiJ @ X)
+    Jh, Binv = Jh[..., live], Binv[..., live]
+    BiJh = _mm(Binv, Jh)
+    lam, V = _jacobi_eigh(_mm(np.conj(Jh).swapaxes(0, 1), BiJh))
+    return _cholesky(Binv), _mm(Jh, V), _mm(BiJh, V), lam, singular, live
 
 
 # ---------------------------------------------------------------------------
 # The Euler-Maruyama step
 
-def _advance(F: PolynomialMap, a: np.ndarray, B: np.ndarray, accum: np.ndarray,
-             dW: np.ndarray, h: float):
-    """One projected Euler-Maruyama step for a stack of paths.
+def _advance(F: PolynomialMap, a: np.ndarray, B: np.ndarray, Binv: np.ndarray,
+             accum: np.ndarray, dW: np.ndarray, h: float):
+    """One projected Euler-Maruyama step for a P-last stack of paths:
+    centers a (n, P), matrices B, their inverses Binv and accumulators
+    accum (n, n, P), increments dW (n, P).
 
-    Returns (a, B, accum, pre, ok, singular). ok flags the rows that
-    advanced; the first four results hold their new centers, matrices and
-    accumulators, and their residuals before projection. The B-update
-    adds (h/n) B^{1/2} pi B^{1/2} = (h/n) (B - J^* M^{-1} J) in that
-    subtraction form, so B grows monotonically up to rounding. A row that
-    did not advance is flagged singular when its Jacobian lost rank, at
-    the center or during projection; otherwise its projection failed to
-    converge.
+    Returns (a, B, Binv, accum, pre, ok, singular). ok flags the rows that
+    advanced; the other results hold their new state and their residuals
+    before projection. With s = h/n, B' = (1 + s) B - s J^* M^{-1} J adds
+    s B^{1/2} pi B^{1/2} in its subtraction form, so B grows monotonically
+    up to rounding; its inverse is (B^{-1} + s X) / (1 + s) with
+    X = B^{-1} J^* M^{-1} J B^{-1} (Woodbury), and the accumulator gains
+    s (B^{-1} - X). A row that did not advance is flagged singular when its
+    Jacobian lost rank, at the center or during projection; otherwise its
+    projection failed to converge.
     """
-    n = F.n
-    L, Binv, Jh, BiJh, MiJ, singular = _sigma_pieces(F, a, B)
-    live = _rows(~singular)
-    v = L @ dW[live][..., None]
-    a_pre = a[live] + _annihilate(v, BiJh, MiJ)[..., 0] / np.sqrt(n)
-    pts, _, conv, sing, pre = project_batch(F, a_pre)
+    n, s = F.n, h / F.n
+    L, U, W, lam, singular, live = _sigma_pieces(F, a, Binv)
+    Uh, Wl = np.conj(U).swapaxes(0, 1), W / lam[None]
+    # the noise (Id - B^{-1} J^* M^{-1} J) L dW / sqrt(n), annihilated by J
+    v = _mm(L, dW[:, live])
+    a_pre = a[:, live] + (v - _mm(Wl, _mm(Uh, v))) / np.sqrt(n)
+    pts, _, conv, sing, pre = project_batch(F, a_pre.T)
     ok = ~singular
     ok[live] = conv
     singular[live] = sing
     done, kept = _rows(ok), _rows(conv)
-    Binv, Jh, BiJh, MiJ = Binv[kept], Jh[kept], BiJh[kept], MiJ[kept]
-    B_new = hermitianize((1 + h / n) * B[done] - (h / n) * (Jh @ MiJ))
-    accum_new = hermitianize(
-        accum[done] + (h / n) * _annihilate(Binv, BiJh, MiJ))
-    return pts[kept], B_new, accum_new, pre[kept], ok, singular
+    U, Uh, W, Wl, lam = (x[..., kept] for x in (U, Uh, W, Wl, lam[None]))
+    # Hermitian parts; .T puts the stack index first, as hermitianize takes it
+    G = hermitianize(_mm(U / lam, Uh).T).T
+    X = hermitianize(_mm(Wl, np.conj(W).swapaxes(0, 1)).T).T
+    Binv = Binv[..., done]
+    return (pts[kept].T, (1 + s) * B[..., done] - s * G, (Binv + s * X) / (1 + s),
+            accum[..., done] + s * (Binv - X), pre[kept], ok, singular)
 
 
 # ---------------------------------------------------------------------------
@@ -280,67 +279,56 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
     if record_every is None:
         record_every = max(1, n_steps // 200)
     P = n_paths
-    a = np.tile(F.base_point, (P, 1)).astype(complex)
-    B = np.tile(np.eye(n, dtype=complex), (P, 1, 1))
-    accum = np.zeros((P, n, n), dtype=complex)
-    res_max = np.zeros(P)
+    eye = np.eye(n, dtype=complex)[..., None]
+    a = np.tile(F.base_point[:, None], (1, P)).astype(complex)
+    B, Binv = np.tile(eye, (1, 1, P)), np.tile(eye, (1, 1, P))
+    accum = np.zeros((n, n, P), dtype=complex)
+    res_max, last_pre = np.zeros(P), np.zeros(P)
     aborted = np.zeros(P, dtype=bool)
     reasons: list = [None] * P
-    gens = [path_rng(seed, i) for i in range(P)]
-    buf = None
-    buf_pos = 0
-
-    rec_t, rec_pre, rec_post = [], [], []
-    rec_lmin, rec_lk1, rec_tr, rec_gap = [], [], [], []
-    last_pre = np.zeros(P)
+    # one Philox for the batch, re-keyed for each path to the state that
+    # path_rng(seed, i) starts from; a path's state is saved between blocks
+    rng = path_rng(seed, 0)
+    start, states = rng.bit_generator.state, [None] * P
+    buf = np.empty((min(_RNG_BLOCK, n_steps), n, P), dtype=complex)
+    act = slice(None)  # the live rows: all of them until a path aborts
+    n_rec = -(-n_steps // record_every)  # the last step is always recorded
+    rec_t, rec, r = np.empty(n_rec), np.empty((6, n_rec, P)), 0
 
     for j in range(n_steps):
-        if buf is None or buf_pos == buf.shape[1]:
-            m = min(_RNG_BLOCK, n_steps - j)
-            buf = np.stack([_increment_block(g, h, n, m) for g in gens])
-            buf_pos = 0
-        dW = buf[:, buf_pos, :]
-        buf_pos += 1
+        if j % _RNG_BLOCK == 0:
+            for i in range(P):
+                rng.bit_generator.state = states[i] or {
+                    **start, "state": {**start["state"], "key": np.array([seed, i], dtype=np.uint64)}}
+                _increment_block(rng, h, buf[:n_steps - j, :, i])
+                if j + _RNG_BLOCK < n_steps:
+                    states[i] = rng.bit_generator.state
+        dW = buf[j % _RNG_BLOCK]
 
-        act = np.nonzero(~aborted)[0]
-        a_new, B_new, accum_new, pre, ok, singular = _advance(
-            F, a[act], B[act], accum[act], dW[act], h)
+        a_new, B_new, Binv_new, accum_new, pre, ok, singular = _advance(
+            F, a[:, act], B[..., act], Binv[..., act], accum[..., act], dW[:, act], h)
         if not ok.all():
-            for i, s in zip(act[~ok], singular[~ok]):
+            rows = np.arange(P)[act]
+            for i, s in zip(rows[~ok], singular[~ok]):
                 aborted[i] = True
-                reasons[i] = {"t": j * h,
-                              "reason": "singularity" if s else "projection failure"}
-            act = act[ok]
-        a[act], B[act], accum[act] = a_new, B_new, accum_new
+                reasons[i] = {"t": j * h, "reason": "singularity" if s else "projection failure"}
+            act = rows[ok]
+        if isinstance(act, slice):  # no path has aborted: the new arrays are the state
+            a, B, Binv, accum = a_new, B_new, Binv_new, accum_new
+        else:
+            a[:, act], B[..., act], Binv[..., act], accum[..., act] = a_new, B_new, Binv_new, accum_new
         res_max[act] = np.maximum(res_max[act], pre)
         last_pre[act] = pre
 
         if (j + 1) % record_every == 0 or j == n_steps - 1:
-            t_now = (j + 1) * h
-            w = np.linalg.eigvalsh(B)
-            gap = np.linalg.norm(
-                accum - (np.eye(n) - np.linalg.inv(B)), axis=(1, 2))
-            rec_t.append(t_now)
-            rec_pre.append(last_pre.copy())
-            rec_post.append(np.atleast_1d(residual_norm(F, a)))
-            rec_lmin.append(w[:, 0].copy())
-            rec_lk1.append(w[:, min(k, n - 1)].copy())
-            rec_tr.append(np.sum(w, axis=1))
-            rec_gap.append(gap)
+            w = np.linalg.eigvalsh(B.transpose(2, 0, 1))
+            rec_t[r] = (j + 1) * h
+            rec[:, r] = (last_pre, residual_norm(F, a.T), w[:, 0], w[:, min(k, n - 1)],
+                         np.sum(w, axis=1), np.linalg.norm(accum - (eye - Binv), axis=(0, 1)))
+            r += 1
 
-    return BatchResult(
-        t=n_steps * h,
-        a=a, B=B, sigma_accum=accum,
-        fiber_residual_max=res_max,
-        aborted=aborted, abort_reasons=reasons,
-        record_t=np.array(rec_t),
-        record_pre_residual=np.array(rec_pre),
-        record_post_residual=np.array(rec_post),
-        record_lambda_min=np.array(rec_lmin),
-        record_lambda_k1=np.array(rec_lk1),
-        record_trace=np.array(rec_tr),
-        record_accum_gap=np.array(rec_gap),
-    )
+    return BatchResult(n_steps * h, a.T.copy(), B.transpose(2, 0, 1).copy(),
+                       accum.transpose(2, 0, 1).copy(), res_max, aborted, reasons, rec_t, *rec)
 
 
 def run_path(F: PolynomialMap, T: float, h: float, seed: int,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fiberloc import ValidationError, hermitianize
-from fiberloc.linalg import check_hermitian, stacked_sqrt_pair
+from fiberloc.linalg import _cholesky, check_hermitian, stacked_sqrt_pair
 
 
 def random_pd(rng, n):
@@ -63,3 +63,17 @@ def test_inv_sqrt_inverts_sqrt():
     for bh, bih in zip(Bh, Bih):
         assert np.linalg.norm(bih @ bh - np.eye(4)) <= 1e-10
         assert np.linalg.norm(bh @ bih - np.eye(4)) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cholesky_matches_lapack(d):
+    rng = np.random.default_rng(20 + d)
+    A = np.stack([random_pd(rng, d) for _ in range(32)])
+    L = np.moveaxis(_cholesky(np.moveaxis(A, 0, -1).copy()), -1, 0)
+    ref = np.linalg.cholesky(A)
+    assert np.all(np.triu(L, 1) == 0)
+    assert np.all(np.abs(L - ref).max(axis=(1, 2)) <= 1e-13 * np.abs(ref).max(axis=(1, 2)))
+    # a row alone gives the same bits as in the stack
+    for i in range(32):
+        alone = _cholesky(np.moveaxis(A[i:i + 1], 0, -1).copy())
+        assert np.array_equal(alone[..., 0], L[i])

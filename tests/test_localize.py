@@ -18,8 +18,10 @@ from fiberloc import (
     standard_gaussian,
     terminal_gaussian,
 )
-from fiberloc.localize import (LAMBDA_MIN_FLOOR, _advance, _annihilate,
-                               _increment_block, _sigma_pieces)
+from fiberloc import localize
+from fiberloc.linalg import _mm
+from fiberloc.localize import (_RNG_BLOCK, LAMBDA_MIN_FLOOR, _advance, _increment_block,
+                               _sigma_pieces)
 from fiberloc.polymap import eval_jacobian, residual_norm
 
 
@@ -43,18 +45,29 @@ def make_state(F, a, B, t=0.0):
 def sigma(F, st):
     """The step kernel's diffusion matrix Sigma at one state, with
     Sigma Sigma^* = B^{-1/2} pi B^{-1/2} / n."""
-    L, _, _, BiJh, MiJ, singular = _sigma_pieces(F, st.a[None, :], st.B[None])
+    L, U, W, lam, singular, _ = _sigma_pieces(F, st.a[:, None], np.linalg.inv(st.B)[..., None])
     assert not singular[0]
-    return _annihilate(L, BiJh, MiJ)[0] / np.sqrt(F.n)
+    # (Id - B^{-1} J^* M^{-1} J) L / sqrt(n), with B^{-1} J^* M^{-1} J = W diag(1/lam) U^*
+    S = L - _mm(W / lam[None], _mm(np.conj(U).swapaxes(0, 1), L))
+    return S[..., 0] / np.sqrt(F.n)
 
 
 def advance(F, st, h, dW):
-    """The stacked arrays (a, B, accum) of one path after one step of
-    _advance from the state st with increment dW; the path must advance."""
-    a, B, accum, _, ok, _ = _advance(F, st.a[None, :], st.B[None],
-                                     st.sigma_accum[None], dW[None, :], h)
+    """The arrays (a, B, accum) of one path, stacked over a leading axis,
+    after one step of _advance from the state st with increment dW; the
+    path must advance."""
+    a, B, _, accum, _, ok, _ = _advance(
+        F, st.a[:, None], st.B[..., None], np.linalg.inv(st.B)[..., None],
+        st.sigma_accum[..., None], dW[:, None], h)
     assert ok.all()
-    return a, B, accum
+    return a.T, np.moveaxis(B, -1, 0), np.moveaxis(accum, -1, 0)
+
+
+def increments(seed, index, h, n, m):
+    """The first m increments (m, n) of the stream of path index under seed."""
+    out = np.empty((m, n), dtype=complex)
+    _increment_block(path_rng(seed, index), h, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +117,7 @@ def test_potential_rejects_non_pd():
 # Random streams
 
 def test_brownian_increment_moments():
-    draws = _increment_block(path_rng(0, 0), 0.25, 2, 20000)
+    draws = increments(0, 0, 0.25, 2, 20000)
     # E|dW_j|^2 = 2h = 0.5 per coordinate
     second = (np.abs(draws) ** 2).mean(axis=0)
     assert np.allclose(second, 0.5, atol=0.02)
@@ -116,16 +129,17 @@ def test_brownian_increment_moments():
 def test_streams_are_independent_of_batching():
     # run_paths refills its increment buffer block by block along each
     # path's stream; the blocks must join into one unbroken sequence
-    block = _increment_block(path_rng(42, 7), 0.1, 3, 5)
+    block = increments(42, 7, 0.1, 3, 5)
     rng = path_rng(42, 7)
-    split = np.concatenate([_increment_block(rng, 0.1, 3, 2),
-                            _increment_block(rng, 0.1, 3, 3)])
+    split = np.empty((5, 3), dtype=complex)
+    _increment_block(rng, 0.1, split[:2])
+    _increment_block(rng, 0.1, split[2:])
     assert np.array_equal(block, split)
 
 
 def test_different_indices_give_different_streams():
-    a = _increment_block(path_rng(1, 0), 1.0, 2, 1)
-    b = _increment_block(path_rng(1, 1), 1.0, 2, 1)
+    a = increments(1, 0, 1.0, 2, 1)
+    b = increments(1, 1, 1.0, 2, 1)
     assert not np.allclose(a, b)
 
 
@@ -188,7 +202,7 @@ def test_step_keeps_b_monotone():
     F = hyperbola_map()
     st = make_state(F, [1.0, 1.0], np.eye(2))
     h = 0.01
-    for dW in _increment_block(path_rng(4, 0), h, 2, 50):
+    for dW in increments(4, 0, h, 2, 50):
         a, B, accum = advance(F, st, h, dW)
         inc = np.linalg.eigvalsh(B[0] - st.B)
         assert inc[0] >= -1e-12
@@ -202,19 +216,90 @@ def test_step_matches_run_paths_bitwise():
     # hand along its own stream reproduces the batched engine bit for bit
     F = paraboloid_map(3)
     h, n_steps, seed = 2e-3, 50, 17
-    a = F.base_point[None, :].astype(complex)
-    B = np.eye(3, dtype=complex)[None]
-    accum = np.zeros((1, 3, 3), dtype=complex)
+    a = F.base_point[:, None].astype(complex)
+    B = np.eye(3, dtype=complex)[..., None]
+    Binv = B.copy()
+    accum = np.zeros((3, 3, 1), dtype=complex)
     res_max = np.zeros(1)
-    for dW in _increment_block(path_rng(seed, 0), h, 3, n_steps):
-        a, B, accum, pre, ok, _ = _advance(F, a, B, accum, dW[None, :], h)
+    for dW in increments(seed, 0, h, 3, n_steps):
+        a, B, Binv, accum, pre, ok, _ = _advance(F, a, B, Binv, accum, dW[:, None], h)
         assert ok.all()
         res_max = np.maximum(res_max, pre)
     out = run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=1)
-    assert np.array_equal(a, out.a)
-    assert np.array_equal(B, out.B)
-    assert np.array_equal(accum, out.sigma_accum)
+    assert np.array_equal(a.T, out.a)
+    assert np.array_equal(np.moveaxis(B, -1, 0), out.B)
+    assert np.array_equal(np.moveaxis(accum, -1, 0), out.sigma_accum)
     assert np.array_equal(res_max, out.fiber_residual_max)
+
+
+def test_run_paths_feeds_each_path_its_own_stream(monkeypatch):
+    # one re-keyed Philox serves the batch, block after block; each path
+    # still draws exactly the increments of path_rng(seed, i)
+    F = paraboloid_map(2)
+    h, n_steps, seed, P = 1e-3, 1100, 31, 6
+    assert n_steps > 2 * _RNG_BLOCK
+    fed = []
+
+    def step(F, a, B, Binv, accum, dW, h):
+        fed.append(dW.copy())
+        return _advance(F, a, B, Binv, accum, dW, h)
+
+    monkeypatch.setattr(localize, "_advance", step)
+    out = run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=P)
+    assert out.n_aborted == 0 and len(fed) == n_steps
+    fed = np.array(fed)
+    for i in range(P):
+        assert np.array_equal(fed[..., i], increments(seed, i, h, F.n, n_steps))
+
+
+def test_one_path_is_row_0_of_a_batch():
+    F = paraboloid_map(2)
+    one = run_paths(F, T=0.5, h=2e-3, seed=19, n_paths=1)
+    seven = run_paths(F, T=0.5, h=2e-3, seed=19, n_paths=7)
+    for field in ("a", "B", "sigma_accum", "fiber_residual_max"):
+        assert np.array_equal(getattr(one, field)[0], getattr(seven, field)[0])
+    for field in ("record_pre_residual", "record_post_residual", "record_lambda_min",
+                  "record_lambda_k1", "record_trace", "record_accum_gap"):
+        assert np.array_equal(getattr(one, field)[:, 0], getattr(seven, field)[:, 0])
+
+
+@pytest.mark.parametrize("make", [lambda: paraboloid_map(3), lambda: codim2_map()],
+                         ids=["paraboloid", "codim2"])
+def test_a_row_steps_alone_as_in_a_stack(make):
+    F = make()
+    st = run_paths(F, T=0.2, h=2e-3, seed=3, n_paths=32)
+    args = [st.a.T, np.moveaxis(st.B, 0, -1), np.linalg.inv(st.B).transpose(1, 2, 0),
+            np.moveaxis(st.sigma_accum, 0, -1),
+            np.array([increments(5, i, 2e-3, F.n, 1)[0] for i in range(32)]).T]
+    stacked = _advance(F, *args, 2e-3)
+    for i in range(32):
+        alone = _advance(F, *(x[..., i:i + 1] for x in args), 2e-3)
+        for part, one in zip(stacked, alone):
+            assert np.array_equal(part[..., i:i + 1], one)
+
+
+@pytest.mark.parametrize("make", [lambda: paraboloid_map(2), lambda: codim2_map()],
+                         ids=["paraboloid", "codim2"])
+def test_carried_inverse_stays_the_inverse(make, monkeypatch):
+    # B^{-1} is carried by its Woodbury update, never computed by inversion
+    F = make()
+    worst = []
+
+    def step(*args):
+        out = _advance(*args)
+        B, Binv = np.moveaxis(out[1], -1, 0), np.moveaxis(out[2], -1, 0)
+        ref = np.linalg.inv(B)
+        rel = np.linalg.norm(Binv - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        res = np.linalg.norm(B @ Binv - np.eye(F.n), axis=(1, 2))
+        worst.append((rel.max(), res.max()))
+        return out
+
+    monkeypatch.setattr(localize, "_advance", step)
+    out = run_paths(F, T=3.0, h=2e-3, seed=13, n_paths=8, record_every=1500)
+    assert out.n_aborted == 0 and len(worst) == 1500
+    rel, res = np.max(worst, axis=0)
+    assert rel <= 1e-12
+    assert res <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +532,7 @@ def test_codim2_step_increment_matches_square_root_reference():
     F = codim2_map()
     st = codim2_state()
     h = 1e-2
-    _, B, _ = advance(F, st, h, _increment_block(path_rng(6, 0), h, 3, 1)[0])
+    _, B, _ = advance(F, st, h, increments(6, 0, h, 3, 1)[0])
     Bh, _, pi = reference_pieces(F, st)
     inc = (h / F.n) * Bh @ pi @ Bh
     assert np.allclose(B[0] - st.B, inc, rtol=0, atol=1e-13 * np.linalg.norm(st.B))
