@@ -66,7 +66,26 @@ MAP_SCHEMA = {
     },
 }
 
+
+def _object(required, **properties):
+    """The schema of a JSON object with these keys and no others."""
+    return {"type": "object", "required": required, "properties": properties,
+            "additionalProperties": False}
+
+
+_VECTOR = {"type": "array", "items": _COMPLEX_PAIR}
+_FUNCTIONAL = {"anyOf": [
+    {"enum": ["one", "sq_norm"]},
+    _object(["half_space"], half_space=_object([], u=_VECTOR, c={"type": "number"})),
+    _object(["bounded_exp"], bounded_exp=_object(
+        ["u", "M"], u=_VECTOR, M={"type": "number", "exclusiveMinimum": 0})),
+]}
+
+# Draft 7 has every keyword used here; checking the schema against its
+# meta-schema, once per process, takes a fifth of the time the default
+# Draft 2020-12 takes (about 2.6 ms against 13 ms)
 CONFIG_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "properties": {
         "map": MAP_SCHEMA,
@@ -80,7 +99,7 @@ CONFIG_SCHEMA = {
         "rank_tol": {"type": "number", "exclusiveMinimum": 0},
         "distance": {"type": "number", "minimum": 0},
         "record_every": {"type": "integer", "minimum": 1},
-        "functionals": {"type": "array"},
+        "functionals": {"type": "array", "items": _FUNCTIONAL},
         "n_instances": {"type": "integer", "minimum": 1},
         "k": {"type": "integer", "minimum": 1},
         "n": {"type": "integer", "minimum": 1},
@@ -167,23 +186,28 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _functional_from_config(spec, n: int):
+    """The functional of a spec that the config schema accepted."""
     if spec == "one":
         return gaussgeom.One()
     if spec == "sq_norm":
         return gaussgeom.SqNorm()
-    if isinstance(spec, dict) and "half_space" in spec:
+    if "half_space" in spec:
         hs = spec["half_space"]
         u = [complex(p[0], p[1]) for p in hs.get("u", [[1, 0]] + [[0, 0]] * (n - 1))]
         return gaussgeom.HalfSpace(u, hs.get("c", 0.0))
-    if isinstance(spec, dict) and "bounded_exp" in spec:
-        be = spec["bounded_exp"]
-        u = [complex(p[0], p[1]) for p in be["u"]]
-        return gaussgeom.BoundedExp(u, be["M"])
-    raise ValidationError(f"unknown functional spec {spec!r}")
+    be = spec["bounded_exp"]
+    return gaussgeom.BoundedExp([complex(p[0], p[1]) for p in be["u"]], be["M"])
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
+
+def _trace_bound_ok(res: localize.BatchResult, n: int) -> bool:
+    """Tr B_t <= n e^t wherever B is recorded. B is undefined (NaN) where
+    rounding left B^{-1} without definiteness; the path stops there."""
+    tr = res.record_trace
+    return bool(np.all(np.isnan(tr) | (tr <= n * np.exp(res.record_t)[:, None] * (1 + 1e-6))))
+
 
 def cmd_localize(cfg, out: Path) -> int:
     F = _map_from_config(cfg)
@@ -202,9 +226,7 @@ def cmd_localize(cfg, out: Path) -> int:
             lines.append(",".join(f"{x:.17g}" for x in row))
         (out / f"path_{i:04d}.csv").write_text("\n".join(lines) + "\n")
 
-    n = F.n
-    trace_ok = bool(np.all(
-        res.record_trace <= n * np.exp(res.record_t)[:, None] * (1 + 1e-6)))
+    trace_ok = _trace_bound_ok(res, F.n)
     summary = {
         "experiment": "localize",
         "config_hash": chash,
@@ -389,8 +411,7 @@ def cmd_selftest(cfg, out: Path) -> int:
     checks["fiber_confinement"] = bool(res.record_post_residual.max() <= polymap.FIBER_TOL)
     checks["matrix_lower_bound"] = bool(
         res.record_lambda_min.min() >= localize.LAMBDA_MIN_FLOOR)
-    checks["trace_bound"] = bool(np.all(
-        res.record_trace <= F.n * np.exp(res.record_t)[:, None] * (1 + 1e-6)))
+    checks["trace_bound"] = _trace_bound_ok(res, F.n)
     checks["no_aborts"] = res.n_aborted == 0
 
     chk = gaussgeom.tilt_inequality_check(np.eye(1), [0.5], 1.0)

@@ -162,7 +162,10 @@ def _bounded_exp(m, s, M: float):
 
     With t = log M, y = (t - m) / s and z = s - y it is
     e^{m + s^2/2} Phi(-z) + M Phi(-y). Where z > 0 the first term is
-    M phi(y) R(z), since e^{m + s^2/2} phi(z) = M phi(y).
+    M phi(y) R(z), since e^{m + s^2/2} phi(z) = M phi(y), and where y > 30
+    the second is M phi(y) R(y). M phi(y) is one exponential,
+    e^{t - y^2/2} / sqrt(2 pi), which stays in the float range where M and
+    phi(y) apart leave it.
     """
     t = math.log(M)
     s1 = np.where(s > 0, s, 1.0)
@@ -170,10 +173,11 @@ def _bounded_exp(m, s, M: float):
     z = s1 - y
     # where z <= 0, m + s^2/2 <= (m + t)/2 <= t: the clip only guards the other rows
     low = np.exp(np.minimum(m + s1 * s1 / 2, t)) * _phi((t - m - s1 * s1) / s1)
-    yc = np.minimum(np.abs(y), 40.0)            # phi vanishes in floats past 38.6
-    high = M * np.exp(-yc * yc / 2) / math.sqrt(2 * math.pi) * _mills(z)
-    first = np.where(z <= 0, low, high)
-    return np.where(s > 0, first + M * _phi(-y), np.minimum(np.exp(np.minimum(m, t)), M))
+    yc = np.minimum(np.abs(y), 1e150)           # y^2 stays finite; e^{t - y^2/2} is 0 by then
+    m_phi = np.exp(t - yc * yc / 2) / math.sqrt(2 * math.pi)
+    first = np.where(z <= 0, low, m_phi * _mills(z))
+    cap = np.where(y > 30, m_phi * _mills(y), M * _phi(-y))
+    return np.where(s > 0, first + cap, np.minimum(np.exp(np.minimum(m, t)), M))
 
 
 def gaussian_expectation(mu: ComplexGaussian, phi) -> float | np.ndarray:
@@ -207,28 +211,23 @@ def _tilted_disc_mass(b: np.ndarray, v: np.ndarray, R: float,
     """integral over {|z| <= R} of exp(Re(v^* z)) against the centered
     Gaussian with diagonal precision b on C^k, by tensor-grid quadrature.
 
-    k = 1 uses a polar (radius x angle) grid; k = 2 peels off the first
-    coordinate and recurses, so every integrand stays smooth.
+    The first coordinate is integrated on a polar (radius x angle) grid;
+    for k = 2 the integrand at each of its moduli s is multiplied by the
+    integral over the second coordinate, on the disc of radius
+    sqrt(R^2 - s^2), so every integrand stays smooth.
     """
-    k = len(b)
     x, wgt = np.polynomial.legendre.leggauss(nodes)
     theta = 2 * np.pi * np.arange(nodes) / nodes
-    if k == 1:
-        s = R * (x + 1) / 2
-        ws = wgt * R / 2
-        # angular average of exp(|v| s cos(theta)) on the periodic grid
-        ang = np.exp(np.abs(v[0]) * s[:, None] * np.cos(theta)[None, :]).mean(axis=1)
-        integrand = b[0] * s * np.exp(-b[0] * s * s / 2) * ang
-        return float(np.sum(ws * integrand))
-    # k == 2: condition on the modulus of the first coordinate
     s = R * (x + 1) / 2
     ws = wgt * R / 2
-    inner = np.array([
-        _tilted_disc_mass(b[1:], v[1:], math.sqrt(max(R * R - si * si, 0.0)), nodes)
-        for si in s
-    ])
+    # angular average of exp(|v| s cos(theta)) on the periodic grid
     ang = np.exp(np.abs(v[0]) * s[:, None] * np.cos(theta)[None, :]).mean(axis=1)
-    integrand = b[0] * s * np.exp(-b[0] * s * s / 2) * ang * inner
+    integrand = b[0] * s * np.exp(-b[0] * s * s / 2) * ang
+    if len(b) == 2:
+        integrand = integrand * np.array([
+            _tilted_disc_mass(b[1:], v[1:], math.sqrt(max(R * R - si * si, 0.0)), nodes)
+            for si in s
+        ])
     return float(np.sum(ws * integrand))
 
 

@@ -182,11 +182,14 @@ def _householder_qr(A: np.ndarray):
 def _cholesky(A: np.ndarray) -> np.ndarray:
     """The lower Cholesky factors L, A = L L^*, of a P-last stack A (d, d, P)
     of Hermitian positive definite matrices, column by column. Only the
-    lower triangle and the real part of the diagonal are read."""
+    lower triangle and the real part of the diagonal are read. A matrix
+    that rounding left without a factor, with a negative pivot or a zero
+    one above the last, gets NaN from that column on, without a warning."""
     L = np.zeros_like(A)
     for j in range(len(A)):
         col = A[j:, j] - _mm(L[j:, :j], np.conj(L[j, :j])) if j else A[:, 0]
-        d = np.sqrt(col[0].real)
+        piv = col[0].real
+        d = np.sqrt(np.where(piv >= 0 if j + 1 == len(A) else piv > 0, piv, np.nan))
         L[j, j] = d
         if j + 1 < len(A):
             L[j + 1:, j] = col[1:] / d[None]

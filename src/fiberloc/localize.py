@@ -12,12 +12,12 @@ Sigma dW the same law. The exact process keeps the center on the zero set;
 the discretization leaks off at O(h) and is re-projected by Gauss-Newton
 after every step.
 
-No step takes a matrix square root or an inverse. With J the Jacobian at
-the center and M = J B^{-1} J^*, the B update is the subtraction form
-B^{1/2} pi B^{1/2} = B - J^* M^{-1} J, a change of rank k, so B^{-1} is
-carried along by the Woodbury identity (see _advance), starting at Id.
-Sigma is (Id - B^{-1} J^* M^{-1} J) L / sqrt(n), L the Cholesky factor of
-the carried B^{-1}.
+No step takes a matrix square root or an inverse, or holds B. With J the
+Jacobian at the center and M = J B^{-1} J^*, the B update is the
+subtraction form B^{1/2} pi B^{1/2} = B - J^* M^{-1} J, a change of rank
+k, so B^{-1} is carried by the Woodbury identity (see _advance), starting
+at Id. Sigma is (Id - B^{-1} J^* M^{-1} J) L / sqrt(n), L the Cholesky
+factor of B^{-1}. B is derived only where it is reported.
 
 One kernel (_advance) performs the projected Euler-Maruyama step for a
 stack of paths held P-last, as the linalg kernels hold them. The batched
@@ -38,10 +38,13 @@ from .polymap import (RANK_TOL, PolynomialMap, eval_jacobian, project_batch,
 
 DEFAULT_RANK_TRUNCATION = 1e-2
 # B starts at Id and grows by PSD increments, so lambda_min(B) >= 1 in exact
-# arithmetic. The increment is formed as a difference (see _advance), so B
-# grows monotonically only up to rounding; the floor allows for that.
+# arithmetic. It is read as 1 / lambda_max(B^{-1}), and the carried B^{-1}
+# shrinks monotonically only up to rounding; the floor allows for that.
 LAMBDA_MIN_FLOOR = 1 - 1e-8
 _RNG_BLOCK = 512
+# why a path stopped, by the code _advance returns for it; 0: it stepped
+_ABORT_REASONS = (None, "singularity", "projection failure", "indefinite noise factor")
+_SINGULAR, _PROJECTION, _INDEFINITE = 1, 2, 3
 
 
 # ---------------------------------------------------------------------------
@@ -173,58 +176,57 @@ def _rows(mask: np.ndarray):
 def _sigma_pieces(F: PolynomialMap, a: np.ndarray, Binv: np.ndarray):
     """Diffusion data at centers a (n, P) with inverse matrices Binv (n, n, P).
 
-    Returns (L, U, W, lam, singular, live). singular flags paths whose
-    Jacobian J has sigma_min below RANK_TOL (eigenvalues of J J^*); live
-    indexes the others (_rows), over which the rest is stacked: the
-    Cholesky factor L of B^{-1}, and with M = J B^{-1} J^* = V diag(lam) V^*,
+    Returns (L, U, W, lam, fail, live). fail holds per path 0 or the code
+    in _ABORT_REASONS of why it cannot step: its Jacobian J has sigma_min
+    below RANK_TOL (eigenvalues of J J^*), or rounding left B^{-1} without
+    a Cholesky factor L (NaN). live indexes the others (_rows), over which
+    the rest is stacked: L, and with M = J B^{-1} J^* = V diag(lam) V^*,
     U = J^* V and W = B^{-1} J^* V, so that J^* M^{-1} J = U diag(1/lam) U^*.
     """
     Jh = np.conj(eval_jacobian(F, a.T).transpose(2, 1, 0), order="C")
-    singular = _jacobi_eigh(_gram(Jh))[0][0] < RANK_TOL**2
-    live = _rows(~singular)
+    L = _cholesky(Binv)
+    fail = np.where(_jacobi_eigh(_gram(Jh))[0][0] < RANK_TOL**2, _SINGULAR,
+                    np.where(np.isnan(L[-1, -1].real), _INDEFINITE, 0))
+    live = _rows(fail == 0)
     Jh, Binv = Jh[..., live], Binv[..., live]
     BiJh = _mm(Binv, Jh)
     lam, V = _jacobi_eigh(_mm(np.conj(Jh).swapaxes(0, 1), BiJh))
-    return _cholesky(Binv), _mm(Jh, V), _mm(BiJh, V), lam, singular, live
+    return L[..., live], _mm(Jh, V), _mm(BiJh, V), lam, fail, live
 
 
 # ---------------------------------------------------------------------------
 # The Euler-Maruyama step
 
-def _advance(F: PolynomialMap, a: np.ndarray, B: np.ndarray, Binv: np.ndarray,
-             accum: np.ndarray, dW: np.ndarray, h: float):
+def _advance(F: PolynomialMap, a: np.ndarray, Binv: np.ndarray, accum: np.ndarray,
+             dW: np.ndarray, h: float):
     """One projected Euler-Maruyama step for a P-last stack of paths:
-    centers a (n, P), matrices B, their inverses Binv and accumulators
-    accum (n, n, P), increments dW (n, P).
+    centers a (n, P), inverse matrices Binv and accumulators accum
+    (n, n, P), increments dW (n, P).
 
-    Returns (a, B, Binv, accum, pre, ok, singular). ok flags the rows that
-    advanced; the other results hold their new state and their residuals
-    before projection. With s = h/n, B' = (1 + s) B - s J^* M^{-1} J adds
-    s B^{1/2} pi B^{1/2} in its subtraction form, so B grows monotonically
-    up to rounding; its inverse is (B^{-1} + s X) / (1 + s) with
-    X = B^{-1} J^* M^{-1} J B^{-1} (Woodbury), and the accumulator gains
-    s (B^{-1} - X). A row that did not advance is flagged singular when its
-    Jacobian lost rank, at the center or during projection; otherwise its
-    projection failed to converge.
+    Returns (a, Binv, accum, pre, post, fail): the new state of the rows
+    that advanced, their residuals before and after projection, and per
+    row 0 or the code in _ABORT_REASONS of why it did not advance (its
+    Jacobian lost rank, at the center or in projection; its Cholesky
+    factor does not exist; its projection did not converge). With s = h/n,
+    B' = (1 + s) B - s J^* M^{-1} J is a change of rank k, so that
+    (B')^{-1} = (B^{-1} + s X) / (1 + s) with X = B^{-1} J^* M^{-1} J B^{-1}
+    (Woodbury); the accumulator gains s (B^{-1} - X).
     """
     n, s = F.n, h / F.n
-    L, U, W, lam, singular, live = _sigma_pieces(F, a, Binv)
-    Uh, Wl = np.conj(U).swapaxes(0, 1), W / lam[None]
+    L, U, W, lam, fail, live = _sigma_pieces(F, a, Binv)
+    Wl = W / lam[None]
     # the noise (Id - B^{-1} J^* M^{-1} J) L dW / sqrt(n), annihilated by J
     v = _mm(L, dW[:, live])
-    a_pre = a[:, live] + (v - _mm(Wl, _mm(Uh, v))) / np.sqrt(n)
-    pts, _, conv, sing, pre = project_batch(F, a_pre.T)
-    ok = ~singular
-    ok[live] = conv
-    singular[live] = sing
-    done, kept = _rows(ok), _rows(conv)
-    U, Uh, W, Wl, lam = (x[..., kept] for x in (U, Uh, W, Wl, lam[None]))
-    # Hermitian parts; .T puts the stack index first, as hermitianize takes it
-    G = hermitianize(_mm(U / lam, Uh).T).T
+    a_pre = a[:, live] + (v - _mm(Wl, _mm(np.conj(U).swapaxes(0, 1), v))) / np.sqrt(n)
+    pts, post, conv, sing, pre = project_batch(F, a_pre.T)
+    fail[live] = np.where(sing, _SINGULAR, np.where(conv, 0, _PROJECTION))
+    done, kept = _rows(fail == 0), _rows(conv)
+    W, Wl = W[..., kept], Wl[..., kept]
+    # the Hermitian part; .T puts the stack index first, as hermitianize takes it
     X = hermitianize(_mm(Wl, np.conj(W).swapaxes(0, 1)).T).T
     Binv = Binv[..., done]
-    return (pts[kept].T, (1 + s) * B[..., done] - s * G, (Binv + s * X) / (1 + s),
-            accum[..., done] + s * (Binv - X), pre[kept], ok, singular)
+    return (pts[kept].T, (Binv + s * X) / (1 + s), accum[..., done] + s * (Binv - X),
+            pre[kept], post[kept], fail)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +238,7 @@ class BatchResult:
 
     t: float
     a: np.ndarray                 # (P, n) terminal centers
-    B: np.ndarray                 # (P, n, n)
+    B: np.ndarray                 # (P, n, n), the inverse of the carried B^{-1}
     sigma_accum: np.ndarray       # (P, n, n)
     fiber_residual_max: np.ndarray  # (P,) max pre-projection residual
     aborted: np.ndarray           # (P,) bool
@@ -265,8 +267,9 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
     """Simulate n_paths independent paths from the base point up to time T.
 
     Deterministic given (seed, h, T, n_paths): path i consumes only the
-    stream keyed by (seed, i). Paths that hit a singularity or a projection
-    failure are frozen and flagged; the others continue.
+    stream keyed by (seed, i). Paths that hit a singularity, a projection
+    failure or a B^{-1} that lost definiteness to rounding are frozen and
+    flagged; the others continue.
     """
     if not (T > 0 and h > 0 and np.isfinite(T / h)):
         raise ValidationError("T and h must be positive, with a finite ratio T / h")
@@ -281,9 +284,8 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
     P = n_paths
     eye = np.eye(n, dtype=complex)[..., None]
     a = np.tile(F.base_point[:, None], (1, P)).astype(complex)
-    B, Binv = np.tile(eye, (1, 1, P)), np.tile(eye, (1, 1, P))
-    accum = np.zeros((n, n, P), dtype=complex)
-    res_max, last_pre = np.zeros(P), np.zeros(P)
+    Binv, accum = np.tile(eye, (1, 1, P)), np.zeros((n, n, P), dtype=complex)
+    res_max, last_pre, last_post = np.zeros(P), np.zeros(P), residual_norm(F, a.T)
     aborted = np.zeros(P, dtype=bool)
     reasons: list = [None] * P
     # one Philox for the batch, re-keyed for each path to the state that
@@ -305,28 +307,35 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
                     states[i] = rng.bit_generator.state
         dW = buf[j % _RNG_BLOCK]
 
-        a_new, B_new, Binv_new, accum_new, pre, ok, singular = _advance(
-            F, a[:, act], B[..., act], Binv[..., act], accum[..., act], dW[:, act], h)
-        if not ok.all():
+        a_new, Binv_new, accum_new, pre, post, fail = _advance(
+            F, a[:, act], Binv[..., act], accum[..., act], dW[:, act], h)
+        if fail.any():
             rows = np.arange(P)[act]
-            for i, s in zip(rows[~ok], singular[~ok]):
+            for i, c in zip(rows[fail > 0], fail[fail > 0]):
                 aborted[i] = True
-                reasons[i] = {"t": j * h, "reason": "singularity" if s else "projection failure"}
-            act = rows[ok]
+                reasons[i] = {"t": j * h, "reason": _ABORT_REASONS[c]}
+            act = rows[fail == 0]
         if isinstance(act, slice):  # no path has aborted: the new arrays are the state
-            a, B, Binv, accum = a_new, B_new, Binv_new, accum_new
+            a, Binv, accum = a_new, Binv_new, accum_new
         else:
-            a[:, act], B[..., act], Binv[..., act], accum[..., act] = a_new, B_new, Binv_new, accum_new
+            a[:, act], Binv[..., act], accum[..., act] = a_new, Binv_new, accum_new
         res_max[act] = np.maximum(res_max[act], pre)
-        last_pre[act] = pre
+        last_pre[act], last_post[act] = pre, post
 
         if (j + 1) % record_every == 0 or j == n_steps - 1:
-            w = np.linalg.eigvalsh(B.transpose(2, 0, 1))
+            # the eigenvalues of B, ascending, NaN where rounding left B^{-1}
+            # with one at or below zero (such a path stops: _sigma_pieces)
+            mu = np.linalg.eigvalsh(Binv.transpose(2, 0, 1))[:, ::-1]
+            w = 1 / np.where(mu > 0, mu, np.nan)
             rec_t[r] = (j + 1) * h
-            rec[:, r] = (last_pre, residual_norm(F, a.T), w[:, 0], w[:, min(k, n - 1)],
+            rec[:, r] = (last_pre, last_post, w[:, 0], w[:, min(k, n - 1)],
                          np.sum(w, axis=1), np.linalg.norm(accum - (eye - Binv), axis=(0, 1)))
             r += 1
 
+    # B = V diag(1/mu) V^* from B^{-1} = V diag(mu) V^*, NaN as in the records
+    mu, V = np.linalg.eigh(Binv.transpose(2, 0, 1))
+    V = V.transpose(1, 2, 0)
+    B = _mm(V * (1 / np.where(mu > 0, mu, np.nan)).T[None], np.conj(V).swapaxes(0, 1))
     return BatchResult(n_steps * h, a.T.copy(), B.transpose(2, 0, 1).copy(),
                        accum.transpose(2, 0, 1).copy(), res_max, aborted, reasons, rec_t, *rec)
 

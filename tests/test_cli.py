@@ -325,6 +325,22 @@ def test_mixture_bounded_exp_past_the_exponent_range(tmp_path):
     assert row["reference"] == pytest.approx(4.870128707990279, rel=1e-15)
 
 
+@pytest.mark.parametrize("spec", [
+    {"bounded_exp": {"u": [[1, 0], [0, 0]]}},
+    {"half_space": 3},
+    {"bounded_exp": {"u": [[1, 0], [0, 0]], "M": "x"}},
+    {"bounded_exp": {"u": [[1], [0]], "M": 2}},
+], ids=["no_cap", "half_space_not_an_object", "cap_not_a_number", "short_coordinate"])
+def test_mixture_refuses_a_malformed_functional(tmp_path, capsys, spec):
+    cfg = {"map": PARABOLOID, "seed": 1, "T": 0.02, "h": 2e-3, "n_paths": 5,
+           "functionals": [spec]}
+    rc = cli.main(["mixture", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "m")])
+    assert rc == 1
+    assert read_stderr_payload(capsys)["error"] == "ValidationError"
+    assert not (tmp_path / "m" / "mixture_report.json").exists()
+
+
 def test_centerlaw_outputs(tmp_path):
     cfg = {"map": AFFINE, "seed": 2, "T": 1.0, "h": 5e-3, "n_paths": 20}
     rc = cli.main(["centerlaw", "--config", write_config(tmp_path, cfg),

@@ -215,6 +215,32 @@ def test_bounded_exp_matches_quadrature(m, s):
         assert got == pytest.approx(bounded_exp_by_quadrature(m, s, M), rel=1e-14)
 
 
+def bounded_exp_by_mpmath(m, s, M):
+    """E min(e^X, M) for X ~ N(m, s^2) in closed form at 60 digits."""
+    import mpmath
+    with mpmath.workdps(60):
+        m, s, t = mpmath.mpf(m), mpmath.mpf(s), mpmath.log(M)
+        return (mpmath.exp(m + s * s / 2) * mpmath.ncdf((t - m - s * s) / s)
+                + M * mpmath.ncdf((m - t) / s))
+
+
+def test_bounded_exp_where_m_phi_leaves_the_float_range():
+    # M phi(y) and M Phi(-y) apart of M: phi(y) is subnormal past y = 37.5
+    # and 0 past 38.6, M up to 1e300; every expectation kept is a normal float
+    grid = [(m, s, M) for m in [-1500, -1300, -1100, -900, -700, -500, -300, -100, 0, 100, 300]
+            for s in [0.5, 5, 20, 30, 36, 40, 45, 50, 60] for M in [1e-3, 1, 1e10, 1e100, 1e300]]
+    assert (-1300, 45, 1e300) in grid and (-700, 36, 1e300) in grid
+    kept = 0
+    for m, s, M in grid:
+        want = bounded_exp_by_mpmath(m, s, M)
+        if want < 1e-300:
+            continue
+        kept += 1
+        got = gaussian_expectation(line_gaussian(m, s), BoundedExp([1.0], M))
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0), (m, s, M)
+    assert kept >= 300
+
+
 # ---------------------------------------------------------------------------
 # Expectations over a stack of Gaussians
 

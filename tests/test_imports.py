@@ -1,5 +1,6 @@
 """Every module-level import in the package modules and the test files is
-used, and the command line loads no SciPy."""
+used, the command line loads no SciPy, and the step kernels of the path
+engine and the closest-point solver call no LAPACK wrapper."""
 
 import ast
 import os
@@ -50,3 +51,36 @@ def test_the_command_line_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
+
+
+# The kernels that run once per step or iteration, and the LAPACK wrappers
+# and stacked products they leave to the P-last kernels of linalg
+STEP_KERNELS = {"localize.py": ("_sigma_pieces", "_advance"),
+                "polymap.py": ("project_batch", "_newton_step", "minimize_fiber_distance")}
+LAPACK = {"inv", "solve", "cholesky", "eigh", "eigvalsh", "qr", "svd", "det", "slogdet",
+          "lstsq", "dot", "matmul"}
+
+
+def lapack_calls(func: ast.FunctionDef) -> list:
+    """The LAPACK wrappers a function names and the @ products it makes."""
+    found = []
+    for node in ast.walk(func):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        if name in LAPACK:
+            found.append(f"{name} (line {node.lineno})")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            found.append(f"@ (line {node.lineno})")
+    return found
+
+
+def test_the_lapack_guard_sees_a_wrapper_and_a_product():
+    func = ast.parse("def f(A, B):\n    return np.linalg.inv(A) @ solve(A, B)\n").body[0]
+    assert sorted(lapack_calls(func)) == ["@ (line 2)", "inv (line 2)", "solve (line 2)"]
+
+
+@pytest.mark.parametrize("module, name", [(m, f) for m, fs in STEP_KERNELS.items() for f in fs])
+def test_step_kernels_call_no_lapack_wrapper(module, name):
+    tree = ast.parse((ROOT / "src" / "fiberloc" / module).read_text())
+    func, = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert lapack_calls(func) == []

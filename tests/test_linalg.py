@@ -77,3 +77,9 @@ def test_cholesky_matches_lapack(d):
     for i in range(32):
         alone = _cholesky(np.moveaxis(A[i:i + 1], 0, -1).copy())
         assert np.array_equal(alone[..., 0], L[i])
+    # a matrix without a factor gets NaN, without a warning (which would
+    # fail the suite), and leaves the other rows as they were
+    A[3, -1, -1] -= 2 * np.linalg.eigvalsh(A[3])[-1]
+    L2 = np.moveaxis(_cholesky(np.moveaxis(A, 0, -1).copy()), -1, 0)
+    assert np.isnan(L2[3, -1, -1])
+    assert np.array_equal(np.delete(L2, 3, axis=0), np.delete(L, 3, axis=0))

@@ -45,8 +45,8 @@ def make_state(F, a, B, t=0.0):
 def sigma(F, st):
     """The step kernel's diffusion matrix Sigma at one state, with
     Sigma Sigma^* = B^{-1/2} pi B^{-1/2} / n."""
-    L, U, W, lam, singular, _ = _sigma_pieces(F, st.a[:, None], np.linalg.inv(st.B)[..., None])
-    assert not singular[0]
+    L, U, W, lam, fail, _ = _sigma_pieces(F, st.a[:, None], np.linalg.inv(st.B)[..., None])
+    assert not fail[0]
     # (Id - B^{-1} J^* M^{-1} J) L / sqrt(n), with B^{-1} J^* M^{-1} J = W diag(1/lam) U^*
     S = L - _mm(W / lam[None], _mm(np.conj(U).swapaxes(0, 1), L))
     return S[..., 0] / np.sqrt(F.n)
@@ -54,13 +54,13 @@ def sigma(F, st):
 
 def advance(F, st, h, dW):
     """The arrays (a, B, accum) of one path, stacked over a leading axis,
-    after one step of _advance from the state st with increment dW; the
-    path must advance."""
-    a, B, _, accum, _, ok, _ = _advance(
-        F, st.a[:, None], st.B[..., None], np.linalg.inv(st.B)[..., None],
-        st.sigma_accum[..., None], dW[:, None], h)
-    assert ok.all()
-    return a.T, np.moveaxis(B, -1, 0), np.moveaxis(accum, -1, 0)
+    after one step of _advance from the state st with increment dW, B the
+    inverse of the new B^{-1}; the path must advance."""
+    a, Binv, accum, _, _, fail = _advance(
+        F, st.a[:, None], np.linalg.inv(st.B)[..., None], st.sigma_accum[..., None],
+        dW[:, None], h)
+    assert not fail.any()
+    return a.T, np.linalg.inv(np.moveaxis(Binv, -1, 0)), np.moveaxis(accum, -1, 0)
 
 
 def increments(seed, index, h, n, m):
@@ -211,25 +211,29 @@ def test_step_keeps_b_monotone():
     assert_state_invariants(st)
 
 
-def test_step_matches_run_paths_bitwise():
+def test_step_matches_run_paths_bitwise(monkeypatch):
     # run_paths drives the step kernel _advance, so stepping one path by
     # hand along its own stream reproduces the batched engine bit for bit
     F = paraboloid_map(3)
     h, n_steps, seed = 2e-3, 50, 17
     a = F.base_point[:, None].astype(complex)
-    B = np.eye(3, dtype=complex)[..., None]
-    Binv = B.copy()
+    Binv = np.eye(3, dtype=complex)[..., None]
     accum = np.zeros((3, 3, 1), dtype=complex)
     res_max = np.zeros(1)
     for dW in increments(seed, 0, h, 3, n_steps):
-        a, B, Binv, accum, pre, ok, _ = _advance(F, a, B, Binv, accum, dW[:, None], h)
-        assert ok.all()
+        a, Binv, accum, pre, post, fail = _advance(F, a, Binv, accum, dW[:, None], h)
+        assert not fail.any()
         res_max = np.maximum(res_max, pre)
+    steps = []
+    monkeypatch.setattr(localize, "_advance", lambda *args: steps.append(_advance(*args)) or steps[-1])
     out = run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=1)
     assert np.array_equal(a.T, out.a)
-    assert np.array_equal(np.moveaxis(B, -1, 0), out.B)
+    assert np.array_equal(steps[-1][1], Binv)
     assert np.array_equal(np.moveaxis(accum, -1, 0), out.sigma_accum)
     assert np.array_equal(res_max, out.fiber_residual_max)
+    assert np.array_equal(post, out.record_post_residual[-1])
+    # B is reported as the inverse of the carried B^{-1}
+    assert np.linalg.norm(out.B @ np.moveaxis(Binv, -1, 0) - np.eye(3)) <= 1e-12
 
 
 def test_run_paths_feeds_each_path_its_own_stream(monkeypatch):
@@ -240,9 +244,9 @@ def test_run_paths_feeds_each_path_its_own_stream(monkeypatch):
     assert n_steps > 2 * _RNG_BLOCK
     fed = []
 
-    def step(F, a, B, Binv, accum, dW, h):
+    def step(F, a, Binv, accum, dW, h):
         fed.append(dW.copy())
-        return _advance(F, a, B, Binv, accum, dW, h)
+        return _advance(F, a, Binv, accum, dW, h)
 
     monkeypatch.setattr(localize, "_advance", step)
     out = run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=P)
@@ -268,8 +272,7 @@ def test_one_path_is_row_0_of_a_batch():
 def test_a_row_steps_alone_as_in_a_stack(make):
     F = make()
     st = run_paths(F, T=0.2, h=2e-3, seed=3, n_paths=32)
-    args = [st.a.T, np.moveaxis(st.B, 0, -1), np.linalg.inv(st.B).transpose(1, 2, 0),
-            np.moveaxis(st.sigma_accum, 0, -1),
+    args = [st.a.T, np.linalg.inv(st.B).transpose(1, 2, 0), np.moveaxis(st.sigma_accum, 0, -1),
             np.array([increments(5, i, 2e-3, F.n, 1)[0] for i in range(32)]).T]
     stacked = _advance(F, *args, 2e-3)
     for i in range(32):
@@ -281,14 +284,20 @@ def test_a_row_steps_alone_as_in_a_stack(make):
 @pytest.mark.parametrize("make", [lambda: paraboloid_map(2), lambda: codim2_map()],
                          ids=["paraboloid", "codim2"])
 def test_carried_inverse_stays_the_inverse(make, monkeypatch):
-    # B^{-1} is carried by its Woodbury update, never computed by inversion
+    # B^{-1} is carried by its Woodbury update, never computed by inversion;
+    # the reference steps B itself, B' = (1 + s) B - s J^* (J B^{-1} J^*)^{-1} J
+    # with s = h/n, by LAPACK
     F = make()
+    B = np.tile(np.eye(F.n, dtype=complex), (8, 1, 1))
     worst = []
 
-    def step(*args):
-        out = _advance(*args)
-        B, Binv = np.moveaxis(out[1], -1, 0), np.moveaxis(out[2], -1, 0)
-        ref = np.linalg.inv(B)
+    def step(F, a, Binv, accum, dW, h):
+        nonlocal B
+        out = _advance(F, a, Binv, accum, dW, h)
+        s, J = h / F.n, eval_jacobian(F, a.T)
+        Jh = np.conj(J.swapaxes(1, 2))
+        B = (1 + s) * B - s * Jh @ np.linalg.solve(J @ np.linalg.solve(B, Jh), J)
+        ref, Binv = np.linalg.inv(B), np.moveaxis(out[1], -1, 0)
         rel = np.linalg.norm(Binv - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
         res = np.linalg.norm(B @ Binv - np.eye(F.n), axis=(1, 2))
         worst.append((rel.max(), res.max()))
@@ -304,6 +313,37 @@ def test_carried_inverse_stays_the_inverse(make, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Whole paths
+
+def z40_map():
+    """f = z_2 - z_1^40 from (1, 1): at h = 10 the noise throws some
+    centers where Gauss-Newton cannot come back to the zero set."""
+    return PolynomialMap(2, 1, [[(1.0, [0, 1]), (-1.0, [40, 0])]], np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("make, T, h, P, seed, reason, n_aborted", [
+    # the condition number of B grows like e^{T/n}; by t = 66-70 rounding
+    # takes the definiteness of the carried B^{-1} in four paths
+    (lambda: paraboloid_map(2), 80.0, 0.01, 8, 1, "indefinite noise factor", 4),
+    (z40_map, 200.0, 10.0, 32, 3, "projection failure", 6),
+], ids=["indefinite", "projection"])
+def test_an_aborted_path_is_frozen(make, T, h, P, seed, reason, n_aborted):
+    F = make()
+    out = run_paths(F, T=T, h=h, seed=seed, n_paths=P)
+    assert out.n_aborted == n_aborted
+    records = ("record_pre_residual", "record_post_residual", "record_lambda_min",
+               "record_lambda_k1", "record_trace", "record_accum_gap")
+    for i in np.flatnonzero(out.aborted):
+        assert out.abort_reasons[i]["reason"] == reason
+        # the records after the failed step repeat the frozen state
+        after = out.record_t >= out.abort_reasons[i]["t"] + h * (1 - 1e-9)
+        assert after.any()
+        for field in records:
+            col = getattr(out, field)[after, i]
+            assert np.array_equal(col, np.full_like(col, col[0]), equal_nan=True)
+        assert out.record_post_residual[-1, i] == residual_norm(F, out.a[i])
+    # lambda_min(B) >= 1 exactly; it is read as 1 / lambda_max(B^{-1})
+    assert np.all(out.record_lambda_min >= LAMBDA_MIN_FLOOR)
+
 
 def test_affine_path_matches_closed_form_b():
     # For f = z_1 the matrix dynamics are deterministic and diagonal:
