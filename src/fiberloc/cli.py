@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import sys
@@ -81,9 +80,8 @@ _FUNCTIONAL = {"anyOf": [
         ["u", "M"], u=_VECTOR, M={"type": "number", "exclusiveMinimum": 0})),
 ]}
 
-# Draft 7 has every keyword used here; checking the schema against its
-# meta-schema, once per process, takes a fifth of the time the default
-# Draft 2020-12 takes (about 2.6 ms against 13 ms)
+# Draft 7 has every keyword used here. The schema is a constant: the test
+# suite checks it against its meta-schema, so no run pays for that check
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -108,14 +106,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-
-@functools.cache
-def _config_validator():
-    """The validator of CONFIG_SCHEMA, built on first use; the schema
-    itself is checked once per process."""
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -136,7 +127,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if isinstance(cfg, dict):
         cfg.update({k: v for k, v in overrides.items() if v is not None})
-    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
         raise ValidationError(
             f"config schema violation at {error.json_path}: {error.message}"
@@ -203,10 +194,8 @@ def _functional_from_config(spec, n: int):
 # Subcommands
 
 def _trace_bound_ok(res: localize.BatchResult, n: int) -> bool:
-    """Tr B_t <= n e^t wherever B is recorded. B is undefined (NaN) where
-    rounding left B^{-1} without definiteness; the path stops there."""
-    tr = res.record_trace
-    return bool(np.all(np.isnan(tr) | (tr <= n * np.exp(res.record_t)[:, None] * (1 + 1e-6))))
+    """Tr B_t <= n e^t at every recorded step of every path."""
+    return bool(np.all(res.record_trace <= n * np.exp(res.record_t)[:, None] * (1 + 1e-6)))
 
 
 def cmd_localize(cfg, out: Path) -> int:

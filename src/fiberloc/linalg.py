@@ -179,18 +179,27 @@ def _householder_qr(A: np.ndarray):
     return Q, R
 
 
-def _cholesky(A: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factors L, A = L L^*, of a P-last stack A (d, d, P)
-    of Hermitian positive definite matrices, column by column. Only the
-    lower triangle and the real part of the diagonal are read. A matrix
-    that rounding left without a factor, with a negative pivot or a zero
-    one above the last, gets NaN from that column on, without a warning."""
-    L = np.zeros_like(A)
-    for j in range(len(A)):
-        col = A[j:, j] - _mm(L[j:, :j], np.conj(L[j, :j])) if j else A[:, 0]
-        piv = col[0].real
-        d = np.sqrt(np.where(piv >= 0 if j + 1 == len(A) else piv > 0, piv, np.nan))
-        L[j, j] = d
-        if j + 1 < len(A):
-            L[j + 1:, j] = col[1:] / d[None]
+def _cholesky_update(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factors of L L^* + Z Z^* for a P-last stack of
+    lower factors L (d, d, P) with a positive diagonal and Z (d, k, P).
+
+    Each column z of Z is folded into L by one plane rotation per column j
+    of L: the pair (L[:, j], z) becomes (rho L[:, j] + conj(sigma) z,
+    rho z - sigma L[:, j]), with r = hypot(L_jj, |z_j|), rho = L_jj / r
+    and sigma = z_j / r, which zeroes z_j and makes r the pivot. No pivot
+    shrinks, so the diagonal stays positive. L and Z are overwritten; L is
+    returned.
+    """
+    d = len(L)
+    for i in range(Z.shape[1]):
+        z = Z[:, i]
+        for j in range(d):
+            ljj = L[j, j].real.copy()
+            r = np.hypot(ljj, np.abs(z[j]))
+            L[j, j] = r
+            if j + 1 < d:
+                rho, sigma = (ljj / r)[None], (z[j] / r)[None]
+                col = L[j + 1:, j].copy()
+                L[j + 1:, j] = rho * col + np.conj(sigma) * z[j + 1:]
+                z[j + 1:] = rho * z[j + 1:] - sigma * col
     return L

@@ -12,12 +12,13 @@ Sigma dW the same law. The exact process keeps the center on the zero set;
 the discretization leaks off at O(h) and is re-projected by Gauss-Newton
 after every step.
 
-No step takes a matrix square root or an inverse, or holds B. With J the
-Jacobian at the center and M = J B^{-1} J^*, the B update is the
-subtraction form B^{1/2} pi B^{1/2} = B - J^* M^{-1} J, a change of rank
-k, so B^{-1} is carried by the Woodbury identity (see _advance), starting
-at Id. Sigma is (Id - B^{-1} J^* M^{-1} J) L / sqrt(n), L the Cholesky
-factor of B^{-1}. B is derived only where it is reported.
+No step takes a matrix square root or an inverse, factors a matrix, or
+holds B: the state is the lower Cholesky factor L of B^{-1} = L L^*,
+starting at Id. The B update is a change of rank k, so each step scales L
+and updates it by rank k (see _advance). The update never shrinks a pivot,
+so L stays the factor of a definite matrix whatever the rounding. Sigma is
+L (Id - Q Q^*) / sqrt(n), Q an orthonormal basis of the range of L^* J^*
+(see _sigma_pieces). B is derived only where it is reported, from L.
 
 One kernel (_advance) performs the projected Euler-Maruyama step for a
 stack of paths held P-last, as the linalg kernels hold them. The batched
@@ -32,19 +33,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PathAbort, StateError, ValidationError
-from .linalg import _cholesky, _gram, _jacobi_eigh, _mm, hermitianize
+from .linalg import _cholesky_update, _gram, _jacobi_eigh, _mm, hermitianize
 from .polymap import (RANK_TOL, PolynomialMap, eval_jacobian, project_batch,
                       residual_norm)
 
 DEFAULT_RANK_TRUNCATION = 1e-2
 # B starts at Id and grows by PSD increments, so lambda_min(B) >= 1 in exact
-# arithmetic. It is read as 1 / lambda_max(B^{-1}), and the carried B^{-1}
+# arithmetic. It is read as 1 / sigma_max(L)^2, and the carried factor L
 # shrinks monotonically only up to rounding; the floor allows for that.
 LAMBDA_MIN_FLOOR = 1 - 1e-8
 _RNG_BLOCK = 512
 # why a path stopped, by the code _advance returns for it; 0: it stepped
-_ABORT_REASONS = (None, "singularity", "projection failure", "indefinite noise factor")
-_SINGULAR, _PROJECTION, _INDEFINITE = 1, 2, 3
+_ABORT_REASONS = (None, "singularity", "projection failure")
+_SINGULAR, _PROJECTION = 1, 2
 
 
 # ---------------------------------------------------------------------------
@@ -173,60 +174,58 @@ def _rows(mask: np.ndarray):
     return slice(None) if mask.all() else np.nonzero(mask)[0]
 
 
-def _sigma_pieces(F: PolynomialMap, a: np.ndarray, Binv: np.ndarray):
-    """Diffusion data at centers a (n, P) with inverse matrices Binv (n, n, P).
+def _sigma_pieces(F: PolynomialMap, a: np.ndarray, L: np.ndarray):
+    """Diffusion data at centers a (n, P) with factors L (n, n, P) of B^{-1}.
 
-    Returns (L, U, W, lam, fail, live). fail holds per path 0 or the code
-    in _ABORT_REASONS of why it cannot step: its Jacobian J has sigma_min
-    below RANK_TOL (eigenvalues of J J^*), or rounding left B^{-1} without
-    a Cholesky factor L (NaN). live indexes the others (_rows), over which
-    the rest is stacked: L, and with M = J B^{-1} J^* = V diag(lam) V^*,
-    U = J^* V and W = B^{-1} J^* V, so that J^* M^{-1} J = U diag(1/lam) U^*.
+    Returns (Q, fail, live). fail holds per path 0 or the code in
+    _ABORT_REASONS of why it cannot step: its Jacobian J has sigma_min
+    below RANK_TOL (eigenvalues of J J^*). live indexes the others (_rows),
+    over which Q (n, k) is stacked: with G = L^* J^* and
+    M = G^* G = V diag(lam) V^*, Q = G V diag(lam)^{-1/2} is an orthonormal
+    basis of the range of G, so that B^{-1} J^* M^{-1} J B^{-1} = (L Q) (L Q)^*.
     """
     Jh = np.conj(eval_jacobian(F, a.T).transpose(2, 1, 0), order="C")
-    L = _cholesky(Binv)
-    fail = np.where(_jacobi_eigh(_gram(Jh))[0][0] < RANK_TOL**2, _SINGULAR,
-                    np.where(np.isnan(L[-1, -1].real), _INDEFINITE, 0))
+    fail = np.where(_jacobi_eigh(_gram(Jh))[0][0] < RANK_TOL**2, _SINGULAR, 0)
     live = _rows(fail == 0)
-    Jh, Binv = Jh[..., live], Binv[..., live]
-    BiJh = _mm(Binv, Jh)
-    lam, V = _jacobi_eigh(_mm(np.conj(Jh).swapaxes(0, 1), BiJh))
-    return L[..., live], _mm(Jh, V), _mm(BiJh, V), lam, fail, live
+    G = _mm(np.conj(L[..., live]).swapaxes(0, 1), Jh[..., live])
+    lam, V = _jacobi_eigh(_gram(G))
+    return _mm(G, V) / np.sqrt(lam)[None], fail, live
 
 
 # ---------------------------------------------------------------------------
 # The Euler-Maruyama step
 
-def _advance(F: PolynomialMap, a: np.ndarray, Binv: np.ndarray, accum: np.ndarray,
+def _advance(F: PolynomialMap, a: np.ndarray, L: np.ndarray, accum: np.ndarray,
              dW: np.ndarray, h: float):
     """One projected Euler-Maruyama step for a P-last stack of paths:
-    centers a (n, P), inverse matrices Binv and accumulators accum
-    (n, n, P), increments dW (n, P).
+    centers a (n, P), lower Cholesky factors L of B^{-1} and accumulators
+    accum (n, n, P), increments dW (n, P).
 
-    Returns (a, Binv, accum, pre, post, fail): the new state of the rows
-    that advanced, their residuals before and after projection, and per
-    row 0 or the code in _ABORT_REASONS of why it did not advance (its
-    Jacobian lost rank, at the center or in projection; its Cholesky
-    factor does not exist; its projection did not converge). With s = h/n,
-    B' = (1 + s) B - s J^* M^{-1} J is a change of rank k, so that
-    (B')^{-1} = (B^{-1} + s X) / (1 + s) with X = B^{-1} J^* M^{-1} J B^{-1}
-    (Woodbury); the accumulator gains s (B^{-1} - X).
+    Returns (a, L, accum, pre, post, fail): the new state of the rows that
+    advanced, their residuals before and after projection, and per row 0
+    or the code in _ABORT_REASONS of why it did not advance (its Jacobian
+    lost rank, at the center or in projection; its projection did not
+    converge). With s = h/n and Y = L Q (_sigma_pieces), the factor of
+    (B')^{-1} = (L L^* + s Y Y^*) / (1 + s) is L / sqrt(1 + s) after a
+    rank-k update by Y sqrt(s / (1 + s)); the accumulator gains
+    s (L L^* - Y Y^*) = s R R^*, with R = L (Id - Q Q^*).
     """
     n, s = F.n, h / F.n
-    L, U, W, lam, fail, live = _sigma_pieces(F, a, Binv)
-    Wl = W / lam[None]
-    # the noise (Id - B^{-1} J^* M^{-1} J) L dW / sqrt(n), annihilated by J
-    v = _mm(L, dW[:, live])
-    a_pre = a[:, live] + (v - _mm(Wl, _mm(np.conj(U).swapaxes(0, 1), v))) / np.sqrt(n)
+    Q, fail, live = _sigma_pieces(F, a, L)
+    L = L[..., live]
+    Y = _mm(L, Q)
+    R = L - _mm(Y, np.conj(Q).swapaxes(0, 1))
+    # the noise R dW / sqrt(n), annihilated by J
+    a_pre = a[:, live] + _mm(R, dW[:, live]) / np.sqrt(n)
+    # R R^* for the accumulator, formed while few stacks are alive: after the
+    # projection its temporaries would set the step's memory peak
+    RR = _gram(np.conj(R).swapaxes(0, 1))
     pts, post, conv, sing, pre = project_batch(F, a_pre.T)
     fail[live] = np.where(sing, _SINGULAR, np.where(conv, 0, _PROJECTION))
     done, kept = _rows(fail == 0), _rows(conv)
-    W, Wl = W[..., kept], Wl[..., kept]
-    # the Hermitian part; .T puts the stack index first, as hermitianize takes it
-    X = hermitianize(_mm(Wl, np.conj(W).swapaxes(0, 1)).T).T
-    Binv = Binv[..., done]
-    return (pts[kept].T, (Binv + s * X) / (1 + s), accum[..., done] + s * (Binv - X),
-            pre[kept], post[kept], fail)
+    accum = accum[..., done] + s * RR[..., kept]
+    L = _cholesky_update(L[..., kept] / np.sqrt(1 + s), Y[..., kept] * np.sqrt(s / (1 + s)))
+    return pts[kept].T, L, accum, pre[kept], post[kept], fail
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ class BatchResult:
 
     t: float
     a: np.ndarray                 # (P, n) terminal centers
-    B: np.ndarray                 # (P, n, n), the inverse of the carried B^{-1}
+    B: np.ndarray                 # (P, n, n), L^{-*} L^{-1} from the carried factor L
     sigma_accum: np.ndarray       # (P, n, n)
     fiber_residual_max: np.ndarray  # (P,) max pre-projection residual
     aborted: np.ndarray           # (P,) bool
@@ -267,9 +266,8 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
     """Simulate n_paths independent paths from the base point up to time T.
 
     Deterministic given (seed, h, T, n_paths): path i consumes only the
-    stream keyed by (seed, i). Paths that hit a singularity, a projection
-    failure or a B^{-1} that lost definiteness to rounding are frozen and
-    flagged; the others continue.
+    stream keyed by (seed, i). Paths that hit a singularity or a
+    projection failure are frozen and flagged; the others continue.
     """
     if not (T > 0 and h > 0 and np.isfinite(T / h)):
         raise ValidationError("T and h must be positive, with a finite ratio T / h")
@@ -284,7 +282,7 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
     P = n_paths
     eye = np.eye(n, dtype=complex)[..., None]
     a = np.tile(F.base_point[:, None], (1, P)).astype(complex)
-    Binv, accum = np.tile(eye, (1, 1, P)), np.zeros((n, n, P), dtype=complex)
+    L, accum = np.tile(eye, (1, 1, P)), np.zeros((n, n, P), dtype=complex)
     res_max, last_pre, last_post = np.zeros(P), np.zeros(P), residual_norm(F, a.T)
     aborted = np.zeros(P, dtype=bool)
     reasons: list = [None] * P
@@ -307,8 +305,8 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
                     states[i] = rng.bit_generator.state
         dW = buf[j % _RNG_BLOCK]
 
-        a_new, Binv_new, accum_new, pre, post, fail = _advance(
-            F, a[:, act], Binv[..., act], accum[..., act], dW[:, act], h)
+        a_new, L_new, accum_new, pre, post, fail = _advance(
+            F, a[:, act], L[..., act], accum[..., act], dW[:, act], h)
         if fail.any():
             rows = np.arange(P)[act]
             for i, c in zip(rows[fail > 0], fail[fail > 0]):
@@ -316,26 +314,24 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
                 reasons[i] = {"t": j * h, "reason": _ABORT_REASONS[c]}
             act = rows[fail == 0]
         if isinstance(act, slice):  # no path has aborted: the new arrays are the state
-            a, Binv, accum = a_new, Binv_new, accum_new
+            a, L, accum = a_new, L_new, accum_new
         else:
-            a[:, act], Binv[..., act], accum[..., act] = a_new, Binv_new, accum_new
+            a[:, act], L[..., act], accum[..., act] = a_new, L_new, accum_new
         res_max[act] = np.maximum(res_max[act], pre)
         last_pre[act], last_post[act] = pre, post
 
         if (j + 1) % record_every == 0 or j == n_steps - 1:
-            # the eigenvalues of B, ascending, NaN where rounding left B^{-1}
-            # with one at or below zero (such a path stops: _sigma_pieces)
-            mu = np.linalg.eigvalsh(Binv.transpose(2, 0, 1))[:, ::-1]
-            w = 1 / np.where(mu > 0, mu, np.nan)
+            # the eigenvalues of B, ascending: 1 / sigma^2 over the singular
+            # values sigma of L, descending, which keep relative accuracy
+            w = np.linalg.svd(L.transpose(2, 0, 1), compute_uv=False) ** -2
             rec_t[r] = (j + 1) * h
+            gap = accum - (eye - _gram(np.conj(L).swapaxes(0, 1)))
             rec[:, r] = (last_pre, last_post, w[:, 0], w[:, min(k, n - 1)],
-                         np.sum(w, axis=1), np.linalg.norm(accum - (eye - Binv), axis=(0, 1)))
+                         np.sum(w, axis=1), np.linalg.norm(gap, axis=(0, 1)))
             r += 1
 
-    # B = V diag(1/mu) V^* from B^{-1} = V diag(mu) V^*, NaN as in the records
-    mu, V = np.linalg.eigh(Binv.transpose(2, 0, 1))
-    V = V.transpose(1, 2, 0)
-    B = _mm(V * (1 / np.where(mu > 0, mu, np.nan)).T[None], np.conj(V).swapaxes(0, 1))
+    # B = L^{-*} L^{-1}
+    B = _gram(np.linalg.inv(L.transpose(2, 0, 1)).transpose(1, 2, 0))
     return BatchResult(n_steps * h, a.T.copy(), B.transpose(2, 0, 1).copy(),
                        accum.transpose(2, 0, 1).copy(), res_max, aborted, reasons, rec_t, *rec)
 

@@ -21,6 +21,14 @@ PARABOLOID = {
     "base_point": [[0.0, 0.0], [0.0, 0.0]],
 }
 
+# f = (z_1 + z_2) / sqrt(2): B grows only across the fiber, by (1 + h/2) a step
+ROTATED_AFFINE = {
+    "n": 2, "k": 1,
+    "components": [[{"coeff": [0.5 ** 0.5, 0.0], "exps": [1, 0]},
+                    {"coeff": [0.5 ** 0.5, 0.0], "exps": [0, 1]}]],
+    "base_point": [[0.0, 0.0], [0.0, 0.0]],
+}
+
 AFFINE = {
     "n": 2, "k": 1,
     "components": [[{"coeff": [1.0, 0.0], "exps": [1, 0]}]],
@@ -139,19 +147,14 @@ def test_override_without_config_is_validated(tmp_path, capsys):
     assert "$.seed" in read_stderr_payload(capsys)["message"]
 
 
-def test_config_schema_is_checked_once(tmp_path, monkeypatch):
-    # the schema itself is checked when its validator is built, not on
-    # every load_config call
+def test_config_schema_is_a_valid_draft7_schema():
+    # the validator is built from the constant schema without checking it
+    # against its meta-schema; that check is made here instead
     cls = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
-    check = cls.check_schema
-    calls = []
-    monkeypatch.setattr(cls, "check_schema",
-                        staticmethod(lambda schema: calls.append(schema) or check(schema)))
-    cli._config_validator.cache_clear()
-    path = write_config(tmp_path, {"seed": 0, "k": 1})
-    cli.load_config(path, {})
-    cli.load_config(path, {"seed": 3})
-    assert len(calls) == 1
+    assert cls is jsonschema.Draft7Validator
+    cls.check_schema(cli.CONFIG_SCHEMA)
+    with pytest.raises(jsonschema.SchemaError):
+        cls.check_schema({**cli.CONFIG_SCHEMA, "type": "mapping"})
 
 
 @pytest.mark.parametrize("cfg", [
@@ -194,6 +197,21 @@ def test_localize_outputs(tmp_path):
     assert summary["invariants"]["max_post_projection_residual"] <= 1e-10
     assert summary["invariants"]["trace_bound_ok"] is True
     assert (tmp_path / "out" / "path_0001.csv").exists()
+
+
+def test_localize_long_horizon_writes_finite_records(tmp_path):
+    # at T = 80 the condition number of B is about e^40; every recorded
+    # value stays a number and the trace bound is checked on all of them
+    cfg = {"map": ROTATED_AFFINE, "seed": 3, "T": 80.0, "h": 0.01, "n_paths": 2}
+    rc = cli.main(["localize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    for i in range(2):
+        text = (tmp_path / "out" / f"path_{i:04d}.csv").read_text()
+        assert "nan" not in text.lower()
+    summary = json.loads((tmp_path / "out" / "localize_summary.json").read_text())
+    assert summary["n_aborted"] == 0
+    assert summary["invariants"]["trace_bound_ok"] is True
 
 
 def test_localize_cli_overrides_config(tmp_path):

@@ -56,7 +56,9 @@ def test_the_command_line_loads_no_scipy():
 # The kernels that run once per step or iteration, and the LAPACK wrappers
 # and stacked products they leave to the P-last kernels of linalg
 STEP_KERNELS = {"localize.py": ("_sigma_pieces", "_advance"),
-                "polymap.py": ("project_batch", "_newton_step", "minimize_fiber_distance")}
+                "polymap.py": ("project_batch", "_newton_step", "minimize_fiber_distance"),
+                "linalg.py": ("_mm", "_gram", "_jacobi_eigh", "_householder_qr",
+                              "_cholesky_update")}
 LAPACK = {"inv", "solve", "cholesky", "eigh", "eigvalsh", "qr", "svd", "det", "slogdet",
           "lstsq", "dot", "matmul"}
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fiberloc import ValidationError, hermitianize
-from fiberloc.linalg import _cholesky, check_hermitian, stacked_sqrt_pair
+from fiberloc.linalg import _cholesky_update, check_hermitian, stacked_sqrt_pair
 
 
 def random_pd(rng, n):
@@ -67,19 +67,20 @@ def test_inv_sqrt_inverts_sqrt():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_cholesky_matches_lapack(d):
+    # the factor of L L^* + Z Z^* after a rank-k update is LAPACK's factor
+    # of that matrix, for each rank k <= 2 the path engine meets
     rng = np.random.default_rng(20 + d)
     A = np.stack([random_pd(rng, d) for _ in range(32)])
-    L = np.moveaxis(_cholesky(np.moveaxis(A, 0, -1).copy()), -1, 0)
-    ref = np.linalg.cholesky(A)
-    assert np.all(np.triu(L, 1) == 0)
-    assert np.all(np.abs(L - ref).max(axis=(1, 2)) <= 1e-13 * np.abs(ref).max(axis=(1, 2)))
-    # a row alone gives the same bits as in the stack
-    for i in range(32):
-        alone = _cholesky(np.moveaxis(A[i:i + 1], 0, -1).copy())
-        assert np.array_equal(alone[..., 0], L[i])
-    # a matrix without a factor gets NaN, without a warning (which would
-    # fail the suite), and leaves the other rows as they were
-    A[3, -1, -1] -= 2 * np.linalg.eigvalsh(A[3])[-1]
-    L2 = np.moveaxis(_cholesky(np.moveaxis(A, 0, -1).copy()), -1, 0)
-    assert np.isnan(L2[3, -1, -1])
-    assert np.array_equal(np.delete(L2, 3, axis=0), np.delete(L, 3, axis=0))
+    L0 = np.moveaxis(np.linalg.cholesky(A), 0, -1)
+    for k in range(1, min(d, 2) + 1):
+        Z = rng.standard_normal((d, k, 32)) + 1j * rng.standard_normal((d, k, 32))
+        L = np.moveaxis(_cholesky_update(L0.copy(), Z.copy()), -1, 0)
+        ref = np.linalg.cholesky(A + np.einsum("iap,jap->pij", Z, np.conj(Z)))
+        assert np.all(np.triu(L, 1) == 0)
+        assert np.all(np.diagonal(L, axis1=1, axis2=2).real > 0)
+        assert np.all(np.diagonal(L, axis1=1, axis2=2).imag == 0)
+        assert np.all(np.abs(L - ref).max(axis=(1, 2)) <= 1e-13 * np.abs(ref).max(axis=(1, 2)))
+        # a row alone gives the same bits as in the stack
+        for i in range(32):
+            alone = _cholesky_update(L0[..., i:i + 1].copy(), Z[..., i:i + 1].copy())
+            assert np.array_equal(alone[..., 0], L[i])

@@ -34,6 +34,11 @@ def assert_state_invariants(st):
     assert np.linalg.eigvalsh(hermitianize(st.sigma_accum))[-1] <= 1 + 1e-6
 
 
+def factor(B):
+    """The lower Cholesky factor of B^{-1}, by LAPACK."""
+    return np.linalg.cholesky(np.linalg.inv(B))
+
+
 def make_state(F, a, B, t=0.0):
     n = F.n
     a = np.asarray(a, dtype=complex)
@@ -43,24 +48,24 @@ def make_state(F, a, B, t=0.0):
 
 
 def sigma(F, st):
-    """The step kernel's diffusion matrix Sigma at one state, with
-    Sigma Sigma^* = B^{-1/2} pi B^{-1/2} / n."""
-    L, U, W, lam, fail, _ = _sigma_pieces(F, st.a[:, None], np.linalg.inv(st.B)[..., None])
+    """The step kernel's diffusion matrix Sigma = L (Id - Q Q^*) / sqrt(n)
+    at one state, with Sigma Sigma^* = B^{-1/2} pi B^{-1/2} / n."""
+    L = factor(st.B)[..., None]
+    Q, fail, _ = _sigma_pieces(F, st.a[:, None], L)
     assert not fail[0]
-    # (Id - B^{-1} J^* M^{-1} J) L / sqrt(n), with B^{-1} J^* M^{-1} J = W diag(1/lam) U^*
-    S = L - _mm(W / lam[None], _mm(np.conj(U).swapaxes(0, 1), L))
+    S = L - _mm(_mm(L, Q), np.conj(Q).swapaxes(0, 1))
     return S[..., 0] / np.sqrt(F.n)
 
 
 def advance(F, st, h, dW):
     """The arrays (a, B, accum) of one path, stacked over a leading axis,
     after one step of _advance from the state st with increment dW, B the
-    inverse of the new B^{-1}; the path must advance."""
-    a, Binv, accum, _, _, fail = _advance(
-        F, st.a[:, None], np.linalg.inv(st.B)[..., None], st.sigma_accum[..., None],
-        dW[:, None], h)
+    inverse of L L^* for the new factor L; the path must advance."""
+    a, L, accum, _, _, fail = _advance(
+        F, st.a[:, None], factor(st.B)[..., None], st.sigma_accum[..., None], dW[:, None], h)
     assert not fail.any()
-    return a.T, np.linalg.inv(np.moveaxis(Binv, -1, 0)), np.moveaxis(accum, -1, 0)
+    L = np.moveaxis(L, -1, 0)
+    return a.T, np.linalg.inv(L @ np.conj(L.swapaxes(1, 2))), np.moveaxis(accum, -1, 0)
 
 
 def increments(seed, index, h, n, m):
@@ -217,23 +222,24 @@ def test_step_matches_run_paths_bitwise(monkeypatch):
     F = paraboloid_map(3)
     h, n_steps, seed = 2e-3, 50, 17
     a = F.base_point[:, None].astype(complex)
-    Binv = np.eye(3, dtype=complex)[..., None]
+    L = np.eye(3, dtype=complex)[..., None]
     accum = np.zeros((3, 3, 1), dtype=complex)
     res_max = np.zeros(1)
     for dW in increments(seed, 0, h, 3, n_steps):
-        a, Binv, accum, pre, post, fail = _advance(F, a, Binv, accum, dW[:, None], h)
+        a, L, accum, pre, post, fail = _advance(F, a, L, accum, dW[:, None], h)
         assert not fail.any()
         res_max = np.maximum(res_max, pre)
     steps = []
     monkeypatch.setattr(localize, "_advance", lambda *args: steps.append(_advance(*args)) or steps[-1])
     out = run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=1)
     assert np.array_equal(a.T, out.a)
-    assert np.array_equal(steps[-1][1], Binv)
+    assert np.array_equal(steps[-1][1], L)
     assert np.array_equal(np.moveaxis(accum, -1, 0), out.sigma_accum)
     assert np.array_equal(res_max, out.fiber_residual_max)
     assert np.array_equal(post, out.record_post_residual[-1])
-    # B is reported as the inverse of the carried B^{-1}
-    assert np.linalg.norm(out.B @ np.moveaxis(Binv, -1, 0) - np.eye(3)) <= 1e-12
+    # B is reported as the inverse of L L^* for the carried factor L
+    L = np.moveaxis(L, -1, 0)
+    assert np.linalg.norm(out.B @ L @ np.conj(L.swapaxes(1, 2)) - np.eye(3)) <= 1e-12
 
 
 def test_run_paths_feeds_each_path_its_own_stream(monkeypatch):
@@ -244,9 +250,9 @@ def test_run_paths_feeds_each_path_its_own_stream(monkeypatch):
     assert n_steps > 2 * _RNG_BLOCK
     fed = []
 
-    def step(F, a, Binv, accum, dW, h):
+    def step(F, a, L, accum, dW, h):
         fed.append(dW.copy())
-        return _advance(F, a, Binv, accum, dW, h)
+        return _advance(F, a, L, accum, dW, h)
 
     monkeypatch.setattr(localize, "_advance", step)
     out = run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=P)
@@ -272,7 +278,7 @@ def test_one_path_is_row_0_of_a_batch():
 def test_a_row_steps_alone_as_in_a_stack(make):
     F = make()
     st = run_paths(F, T=0.2, h=2e-3, seed=3, n_paths=32)
-    args = [st.a.T, np.linalg.inv(st.B).transpose(1, 2, 0), np.moveaxis(st.sigma_accum, 0, -1),
+    args = [st.a.T, np.moveaxis(factor(st.B), 0, -1), np.moveaxis(st.sigma_accum, 0, -1),
             np.array([increments(5, i, 2e-3, F.n, 1)[0] for i in range(32)]).T]
     stacked = _advance(F, *args, 2e-3)
     for i in range(32):
@@ -284,20 +290,21 @@ def test_a_row_steps_alone_as_in_a_stack(make):
 @pytest.mark.parametrize("make", [lambda: paraboloid_map(2), lambda: codim2_map()],
                          ids=["paraboloid", "codim2"])
 def test_carried_inverse_stays_the_inverse(make, monkeypatch):
-    # B^{-1} is carried by its Woodbury update, never computed by inversion;
-    # the reference steps B itself, B' = (1 + s) B - s J^* (J B^{-1} J^*)^{-1} J
-    # with s = h/n, by LAPACK
+    # B^{-1} = L L^* is carried by rank-k updates of its factor L, never
+    # computed by inversion; the reference steps B itself,
+    # B' = (1 + s) B - s J^* (J B^{-1} J^*)^{-1} J with s = h/n, by LAPACK
     F = make()
     B = np.tile(np.eye(F.n, dtype=complex), (8, 1, 1))
     worst = []
 
-    def step(F, a, Binv, accum, dW, h):
+    def step(F, a, L, accum, dW, h):
         nonlocal B
-        out = _advance(F, a, Binv, accum, dW, h)
+        out = _advance(F, a, L, accum, dW, h)
         s, J = h / F.n, eval_jacobian(F, a.T)
         Jh = np.conj(J.swapaxes(1, 2))
         B = (1 + s) * B - s * Jh @ np.linalg.solve(J @ np.linalg.solve(B, Jh), J)
-        ref, Binv = np.linalg.inv(B), np.moveaxis(out[1], -1, 0)
+        L = np.moveaxis(out[1], -1, 0)
+        ref, Binv = np.linalg.inv(B), L @ np.conj(L.swapaxes(1, 2))
         rel = np.linalg.norm(Binv - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
         res = np.linalg.norm(B @ Binv - np.eye(F.n), axis=(1, 2))
         worst.append((rel.max(), res.max()))
@@ -320,29 +327,60 @@ def z40_map():
     return PolynomialMap(2, 1, [[(1.0, [0, 1]), (-1.0, [40, 0])]], np.array([1.0, 1.0]))
 
 
+RECORDS = ("record_pre_residual", "record_post_residual", "record_lambda_min",
+           "record_lambda_k1", "record_trace", "record_accum_gap")
+
+
 @pytest.mark.parametrize("make, T, h, P, seed, reason, n_aborted", [
-    # the condition number of B grows like e^{T/n}; by t = 66-70 rounding
-    # takes the definiteness of the carried B^{-1} in four paths
-    (lambda: paraboloid_map(2), 80.0, 0.01, 8, 1, "indefinite noise factor", 4),
     (z40_map, 200.0, 10.0, 32, 3, "projection failure", 6),
-], ids=["indefinite", "projection"])
+], ids=["projection"])
 def test_an_aborted_path_is_frozen(make, T, h, P, seed, reason, n_aborted):
     F = make()
     out = run_paths(F, T=T, h=h, seed=seed, n_paths=P)
     assert out.n_aborted == n_aborted
-    records = ("record_pre_residual", "record_post_residual", "record_lambda_min",
-               "record_lambda_k1", "record_trace", "record_accum_gap")
     for i in np.flatnonzero(out.aborted):
         assert out.abort_reasons[i]["reason"] == reason
         # the records after the failed step repeat the frozen state
         after = out.record_t >= out.abort_reasons[i]["t"] + h * (1 - 1e-9)
         assert after.any()
-        for field in records:
+        for field in RECORDS:
             col = getattr(out, field)[after, i]
-            assert np.array_equal(col, np.full_like(col, col[0]), equal_nan=True)
+            assert np.array_equal(col, np.full_like(col, col[0]))
         assert out.record_post_residual[-1, i] == residual_norm(F, out.a[i])
-    # lambda_min(B) >= 1 exactly; it is read as 1 / lambda_max(B^{-1})
+    # lambda_min(B) >= 1 exactly; it is read as 1 / sigma_max(L)^2
     assert np.all(out.record_lambda_min >= LAMBDA_MIN_FLOOR)
+
+
+def test_a_long_run_keeps_its_factor():
+    # the condition number of B grows like e^{t/n}, to about e^40 here;
+    # the carried factor keeps B^{-1} = L L^* definite whatever the
+    # rounding, so no path stops and every recorded value is a number
+    out = run_paths(paraboloid_map(2), T=80.0, h=0.01, seed=1, n_paths=8)
+    assert out.n_aborted == 0
+    for field in RECORDS + ("B",):
+        assert np.all(np.isfinite(getattr(out, field)))
+    assert np.all(out.record_lambda_min >= LAMBDA_MIN_FLOOR)
+
+
+def rotated_affine_map():
+    """f = (z_1 + z_2) / sqrt(2): J is constant, so B = Id + (b - 1) v v^*
+    with v = (1, -1) / sqrt(2), and each step multiplies b by (1 + h/2)
+    whatever the noise."""
+    c = np.sqrt(0.5)
+    return PolynomialMap(2, 1, [[(c, [1, 0]), (c, [0, 1])]], np.zeros(2))
+
+
+@pytest.mark.parametrize("T", [40.0, 60.0, 80.0])
+def test_rotated_affine_path_keeps_relative_accuracy(T):
+    # b reaches e^40 at T = 80: the small eigenvalue 1 / b of B^{-1} lies
+    # far below the rounding of its large one, 1, yet is read to 1e-10
+    h = 0.01
+    out = run_paths(rotated_affine_map(), T=T, h=h, seed=1, n_paths=4)
+    assert out.n_aborted == 0
+    b = ((1 + h / 2) ** np.round(out.record_t / h))[:, None]
+    assert np.all(np.abs(out.record_lambda_k1 / b - 1) <= 1e-10)
+    assert np.all(np.abs((out.record_trace - 1) / b - 1) <= 1e-10)
+    assert np.all(np.abs(out.record_lambda_min - 1) <= 1e-10)
 
 
 def test_affine_path_matches_closed_form_b():
