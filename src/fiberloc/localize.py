@@ -42,6 +42,11 @@ DEFAULT_RANK_TRUNCATION = 1e-2
 # arithmetic. It is read as 1 / sigma_max(L)^2, and the carried factor L
 # shrinks monotonically only up to rounding; the floor allows for that.
 LAMBDA_MIN_FLOOR = 1 - 1e-8
+# A step scales B by 1 + h/n and subtracts a PSD term, so lambda_max(B_T) <=
+# (1 + h/n)^{T/h} <= e^{T/n} and Tr B_T <= n e^{T/n}. The largest double is
+# e^709.78: capping T/n at 600 keeps n e^{T/n} finite for every n < e^109,
+# and with it every eigenvalue 1 / sigma^2 of B read from L.
+MAX_T_OVER_N = 600.0
 _RNG_BLOCK = 512
 # why a path stopped, by the code _advance returns for it; 0: it stepped
 _ABORT_REASONS = (None, "singularity", "projection failure")
@@ -87,16 +92,11 @@ def potential_eval(p: QuadraticPotential, z: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LocalizationState:
-    """One path of the localization process at time t, or a stack of paths.
-
-    sigma_accum houses the running integral of Sigma Sigma^*, used for the
-    accumulation identity sigma_accum = Id - B^{-1} (exact in the limit).
-    """
+    """One path of the localization process at time t, or a stack of paths."""
 
     t: float
     a: np.ndarray
     B: np.ndarray
-    sigma_accum: np.ndarray
     fiber_residual_max: float = 0.0
 
 
@@ -195,20 +195,19 @@ def _sigma_pieces(F: PolynomialMap, a: np.ndarray, L: np.ndarray):
 # ---------------------------------------------------------------------------
 # The Euler-Maruyama step
 
-def _advance(F: PolynomialMap, a: np.ndarray, L: np.ndarray, accum: np.ndarray,
-             dW: np.ndarray, h: float):
+def _advance(F: PolynomialMap, a: np.ndarray, L: np.ndarray, dW: np.ndarray, h: float):
     """One projected Euler-Maruyama step for a P-last stack of paths:
-    centers a (n, P), lower Cholesky factors L of B^{-1} and accumulators
-    accum (n, n, P), increments dW (n, P).
+    centers a (n, P), lower Cholesky factors L (n, n, P) of B^{-1},
+    increments dW (n, P).
 
-    Returns (a, L, accum, pre, post, fail): the new state of the rows that
+    Returns (a, L, pre, post, fail): the new state of the rows that
     advanced, their residuals before and after projection, and per row 0
     or the code in _ABORT_REASONS of why it did not advance (its Jacobian
     lost rank, at the center or in projection; its projection did not
     converge). With s = h/n and Y = L Q (_sigma_pieces), the factor of
     (B')^{-1} = (L L^* + s Y Y^*) / (1 + s) is L / sqrt(1 + s) after a
-    rank-k update by Y sqrt(s / (1 + s)); the accumulator gains
-    s (L L^* - Y Y^*) = s R R^*, with R = L (Id - Q Q^*).
+    rank-k update by Y sqrt(s / (1 + s)). The noise is R dW / sqrt(n),
+    with R = L (Id - Q Q^*).
     """
     n, s = F.n, h / F.n
     Q, fail, live = _sigma_pieces(F, a, L)
@@ -217,15 +216,11 @@ def _advance(F: PolynomialMap, a: np.ndarray, L: np.ndarray, accum: np.ndarray,
     R = L - _mm(Y, np.conj(Q).swapaxes(0, 1))
     # the noise R dW / sqrt(n), annihilated by J
     a_pre = a[:, live] + _mm(R, dW[:, live]) / np.sqrt(n)
-    # R R^* for the accumulator, formed while few stacks are alive: after the
-    # projection its temporaries would set the step's memory peak
-    RR = _gram(np.conj(R).swapaxes(0, 1))
     pts, post, conv, sing, pre = project_batch(F, a_pre.T)
     fail[live] = np.where(sing, _SINGULAR, np.where(conv, 0, _PROJECTION))
-    done, kept = _rows(fail == 0), _rows(conv)
-    accum = accum[..., done] + s * RR[..., kept]
+    kept = _rows(conv)
     L = _cholesky_update(L[..., kept] / np.sqrt(1 + s), Y[..., kept] * np.sqrt(s / (1 + s)))
-    return pts[kept].T, L, accum, pre[kept], post[kept], fail
+    return pts[kept].T, L, pre[kept], post[kept], fail
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +233,6 @@ class BatchResult:
     t: float
     a: np.ndarray                 # (P, n) terminal centers
     B: np.ndarray                 # (P, n, n), L^{-*} L^{-1} from the carried factor L
-    sigma_accum: np.ndarray       # (P, n, n)
     fiber_residual_max: np.ndarray  # (P,) max pre-projection residual
     aborted: np.ndarray           # (P,) bool
     abort_reasons: list
@@ -248,7 +242,6 @@ class BatchResult:
     record_lambda_min: np.ndarray     # (R, P)
     record_lambda_k1: np.ndarray      # (R, P) lambda_{k+1}(B), ascending index
     record_trace: np.ndarray          # (R, P)
-    record_accum_gap: np.ndarray      # (R, P) Frobenius gap to Id - B^{-1}
 
     @property
     def n_aborted(self) -> int:
@@ -256,7 +249,7 @@ class BatchResult:
 
     def state(self, i: int | np.ndarray) -> LocalizationState:
         return LocalizationState(
-            t=self.t, a=self.a[i], B=self.B[i], sigma_accum=self.sigma_accum[i],
+            t=self.t, a=self.a[i], B=self.B[i],
             fiber_residual_max=self.fiber_residual_max[i],
         )
 
@@ -268,6 +261,7 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
     Deterministic given (seed, h, T, n_paths): path i consumes only the
     stream keyed by (seed, i). Paths that hit a singularity or a
     projection failure are frozen and flagged; the others continue.
+    A horizon past MAX_T_OVER_N n is refused: B could overflow there.
     """
     if not (T > 0 and h > 0 and np.isfinite(T / h)):
         raise ValidationError("T and h must be positive, with a finite ratio T / h")
@@ -277,12 +271,14 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
         raise ValidationError(f"record_every must be >= 1, got {record_every}")
     n, k = F.n, F.k
     n_steps = max(1, int(round(T / h)))
+    if n_steps * h > MAX_T_OVER_N * n:
+        raise ValidationError(f"horizon {n_steps * h:g} is past {MAX_T_OVER_N:g} n = "
+                              f"{MAX_T_OVER_N * n:g}, where B could overflow")
     if record_every is None:
         record_every = max(1, n_steps // 200)
     P = n_paths
-    eye = np.eye(n, dtype=complex)[..., None]
     a = np.tile(F.base_point[:, None], (1, P)).astype(complex)
-    L, accum = np.tile(eye, (1, 1, P)), np.zeros((n, n, P), dtype=complex)
+    L = np.tile(np.eye(n, dtype=complex)[..., None], (1, 1, P))
     res_max, last_pre, last_post = np.zeros(P), np.zeros(P), residual_norm(F, a.T)
     aborted = np.zeros(P, dtype=bool)
     reasons: list = [None] * P
@@ -293,7 +289,7 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
     buf = np.empty((min(_RNG_BLOCK, n_steps), n, P), dtype=complex)
     act = slice(None)  # the live rows: all of them until a path aborts
     n_rec = -(-n_steps // record_every)  # the last step is always recorded
-    rec_t, rec, r = np.empty(n_rec), np.empty((6, n_rec, P)), 0
+    rec_t, rec, r = np.empty(n_rec), np.empty((5, n_rec, P)), 0
 
     for j in range(n_steps):
         if j % _RNG_BLOCK == 0:
@@ -305,8 +301,7 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
                     states[i] = rng.bit_generator.state
         dW = buf[j % _RNG_BLOCK]
 
-        a_new, L_new, accum_new, pre, post, fail = _advance(
-            F, a[:, act], L[..., act], accum[..., act], dW[:, act], h)
+        a_new, L_new, pre, post, fail = _advance(F, a[:, act], L[..., act], dW[:, act], h)
         if fail.any():
             rows = np.arange(P)[act]
             for i, c in zip(rows[fail > 0], fail[fail > 0]):
@@ -314,9 +309,9 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
                 reasons[i] = {"t": j * h, "reason": _ABORT_REASONS[c]}
             act = rows[fail == 0]
         if isinstance(act, slice):  # no path has aborted: the new arrays are the state
-            a, L, accum = a_new, L_new, accum_new
+            a, L = a_new, L_new
         else:
-            a[:, act], L[..., act], accum[..., act] = a_new, L_new, accum_new
+            a[:, act], L[..., act] = a_new, L_new
         res_max[act] = np.maximum(res_max[act], pre)
         last_pre[act], last_post[act] = pre, post
 
@@ -325,15 +320,13 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
             # values sigma of L, descending, which keep relative accuracy
             w = np.linalg.svd(L.transpose(2, 0, 1), compute_uv=False) ** -2
             rec_t[r] = (j + 1) * h
-            gap = accum - (eye - _gram(np.conj(L).swapaxes(0, 1)))
-            rec[:, r] = (last_pre, last_post, w[:, 0], w[:, min(k, n - 1)],
-                         np.sum(w, axis=1), np.linalg.norm(gap, axis=(0, 1)))
+            rec[:, r] = last_pre, last_post, w[:, 0], w[:, min(k, n - 1)], np.sum(w, axis=1)
             r += 1
 
     # B = L^{-*} L^{-1}
     B = _gram(np.linalg.inv(L.transpose(2, 0, 1)).transpose(1, 2, 0))
     return BatchResult(n_steps * h, a.T.copy(), B.transpose(2, 0, 1).copy(),
-                       accum.transpose(2, 0, 1).copy(), res_max, aborted, reasons, rec_t, *rec)
+                       res_max, aborted, reasons, rec_t, *rec)
 
 
 def run_path(F: PolynomialMap, T: float, h: float, seed: int,
@@ -341,7 +334,7 @@ def run_path(F: PolynomialMap, T: float, h: float, seed: int,
     """Simulate one path; returns the terminal state and a diagnostics table.
 
     Diagnostics columns: t, fiber_residual (pre-projection), lambda_min(B),
-    lambda_{k+1}(B), Tr(B), ||sigma_accum - (Id - B^{-1})||.
+    lambda_{k+1}(B), Tr(B).
     Raises PathAbort with partial diagnostics if the path cannot continue.
     """
     out = run_paths(F, T, h, seed, 1, record_every=record_every)
@@ -351,7 +344,6 @@ def run_path(F: PolynomialMap, T: float, h: float, seed: int,
         out.record_lambda_min[:, 0],
         out.record_lambda_k1[:, 0],
         out.record_trace[:, 0],
-        out.record_accum_gap[:, 0],
     ])
     if out.aborted[0]:
         raise PathAbort("path aborted", {**(out.abort_reasons[0] or {}),

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import jsonschema
 import pytest
@@ -27,6 +28,14 @@ ROTATED_AFFINE = {
     "components": [[{"coeff": [0.5 ** 0.5, 0.0], "exps": [1, 0]},
                     {"coeff": [0.5 ** 0.5, 0.0], "exps": [0, 1]}]],
     "base_point": [[0.0, 0.0], [0.0, 0.0]],
+}
+
+# f = z_2 - z_1^40 from (1, 1)
+Z40 = {
+    "n": 2, "k": 1,
+    "components": [[{"coeff": [1.0, 0.0], "exps": [0, 1]},
+                    {"coeff": [-1.0, 0.0], "exps": [40, 0]}]],
+    "base_point": [[1.0, 0.0], [1.0, 0.0]],
 }
 
 AFFINE = {
@@ -190,10 +199,10 @@ def test_localize_outputs(tmp_path):
     csv0 = (tmp_path / "out" / "path_0000.csv").read_text().splitlines()
     assert csv0[0].startswith("# config_hash=")
     assert csv0[1].startswith("# seed=5")
-    assert csv0[2] == "t,fiber_residual,lambda_min_B,lambda_k1_B,trace_B,accum_gap"
+    assert csv0[2] == "t,fiber_residual,lambda_min_B,lambda_k1_B,trace_B"
     assert len(csv0) > 3
     summary = json.loads((tmp_path / "out" / "localize_summary.json").read_text())
-    assert summary["n_aborted"] == 0
+    assert summary["n_aborted"] == 0 and summary["aborts"] == []
     assert summary["invariants"]["max_post_projection_residual"] <= 1e-10
     assert summary["invariants"]["trace_bound_ok"] is True
     assert (tmp_path / "out" / "path_0001.csv").exists()
@@ -212,6 +221,35 @@ def test_localize_long_horizon_writes_finite_records(tmp_path):
     summary = json.loads((tmp_path / "out" / "localize_summary.json").read_text())
     assert summary["n_aborted"] == 0
     assert summary["invariants"]["trace_bound_ok"] is True
+
+
+def test_localize_past_the_horizon_cap_exits_1(tmp_path, capsys):
+    # T / n = 1000: B could reach e^1000, so the run is refused before it
+    # starts, with no overflow on the way
+    cfg = {"map": ROTATED_AFFINE, "seed": 3, "T": 2000.0, "h": 1.0, "n_paths": 2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["localize", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert read_stderr_payload(capsys)["error"] == "ValidationError"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_localize_summary_lists_each_abort(tmp_path):
+    # f = z_2 - z_1^40 at h = 10: 6 of the 32 paths fail to project
+    cfg = {"map": Z40, "seed": 3, "T": 200.0, "h": 10.0, "n_paths": 32}
+    rc = cli.main(["localize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    summary = json.loads((tmp_path / "out" / "localize_summary.json").read_text())
+    aborts = summary["aborts"]
+    assert summary["n_aborted"] == len(aborts) == 6
+    assert [a["path"] for a in aborts] == sorted({a["path"] for a in aborts})
+    for a in aborts:
+        assert set(a) == {"path", "t", "reason"}
+        assert a["reason"] == "projection failure"
+        assert 0 <= a["t"] < 200.0
 
 
 def test_localize_cli_overrides_config(tmp_path):

@@ -1,0 +1,17 @@
+"""Each demo runs to the end with every warning an error."""
+
+import runpy
+import warnings
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

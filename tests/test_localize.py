@@ -8,7 +8,6 @@ from fiberloc import (
     StateError,
     ValidationError,
     affine_map,
-    hermitianize,
     hyperbola_map,
     paraboloid_map,
     path_rng,
@@ -24,14 +23,16 @@ from fiberloc.localize import (_RNG_BLOCK, LAMBDA_MIN_FLOOR, _advance, _incremen
                                _sigma_pieces)
 from fiberloc.polymap import eval_jacobian, residual_norm
 
+# the per-step records of a BatchResult, each (R, P)
+RECORDS = ("record_pre_residual", "record_post_residual", "record_lambda_min",
+           "record_lambda_k1", "record_trace")
+
 
 def assert_state_invariants(st):
-    """lambda_min(B) >= LAMBDA_MIN_FLOOR, Tr B <= n e^t, and the running
-    integral of Sigma Sigma^* below Id, each up to 1e-6."""
+    """lambda_min(B) >= LAMBDA_MIN_FLOOR and Tr B <= n e^t up to 1e-6."""
     n = st.a.shape[0]
     assert np.linalg.eigvalsh(st.B)[0] >= LAMBDA_MIN_FLOOR
     assert np.trace(st.B).real <= n * np.exp(st.t) * (1 + 1e-6)
-    assert np.linalg.eigvalsh(hermitianize(st.sigma_accum))[-1] <= 1 + 1e-6
 
 
 def factor(B):
@@ -40,11 +41,7 @@ def factor(B):
 
 
 def make_state(F, a, B, t=0.0):
-    n = F.n
-    a = np.asarray(a, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    Binv = np.linalg.inv(B)
-    return LocalizationState(t=t, a=a, B=B, sigma_accum=np.eye(n) - Binv)
+    return LocalizationState(t=t, a=np.asarray(a, dtype=complex), B=np.asarray(B, dtype=complex))
 
 
 def sigma(F, st):
@@ -58,14 +55,13 @@ def sigma(F, st):
 
 
 def advance(F, st, h, dW):
-    """The arrays (a, B, accum) of one path, stacked over a leading axis,
-    after one step of _advance from the state st with increment dW, B the
+    """The arrays (a, B) of one path, stacked over a leading axis, after
+    one step of _advance from the state st with increment dW, B the
     inverse of L L^* for the new factor L; the path must advance."""
-    a, L, accum, _, _, fail = _advance(
-        F, st.a[:, None], factor(st.B)[..., None], st.sigma_accum[..., None], dW[:, None], h)
+    a, L, _, _, fail = _advance(F, st.a[:, None], factor(st.B)[..., None], dW[:, None], h)
     assert not fail.any()
     L = np.moveaxis(L, -1, 0)
-    return a.T, np.linalg.inv(L @ np.conj(L.swapaxes(1, 2))), np.moveaxis(accum, -1, 0)
+    return a.T, np.linalg.inv(L @ np.conj(L.swapaxes(1, 2)))
 
 
 def increments(seed, index, h, n, m):
@@ -197,7 +193,7 @@ def test_step_zero_noise_updates_b_only():
     F = affine_map(2)
     st = make_state(F, F.base_point, np.eye(2))
     h = 0.01
-    a, B, _ = advance(F, st, h, np.zeros(2, dtype=complex))
+    a, B = advance(F, st, h, np.zeros(2, dtype=complex))
     assert np.allclose(a[0], st.a, atol=1e-14)
     # B gains (h/n) pi = diag(0, h/2)
     assert np.allclose(B[0], np.diag([1.0, 1.0 + h / 2]), atol=1e-12)
@@ -208,11 +204,11 @@ def test_step_keeps_b_monotone():
     st = make_state(F, [1.0, 1.0], np.eye(2))
     h = 0.01
     for dW in increments(4, 0, h, 2, 50):
-        a, B, accum = advance(F, st, h, dW)
+        a, B = advance(F, st, h, dW)
         inc = np.linalg.eigvalsh(B[0] - st.B)
         assert inc[0] >= -1e-12
         assert np.linalg.eigvalsh(B[0])[0] >= 1 - 1e-10
-        st = LocalizationState(t=st.t + h, a=a[0], B=B[0], sigma_accum=accum[0])
+        st = LocalizationState(t=st.t + h, a=a[0], B=B[0])
     assert_state_invariants(st)
 
 
@@ -223,10 +219,9 @@ def test_step_matches_run_paths_bitwise(monkeypatch):
     h, n_steps, seed = 2e-3, 50, 17
     a = F.base_point[:, None].astype(complex)
     L = np.eye(3, dtype=complex)[..., None]
-    accum = np.zeros((3, 3, 1), dtype=complex)
     res_max = np.zeros(1)
     for dW in increments(seed, 0, h, 3, n_steps):
-        a, L, accum, pre, post, fail = _advance(F, a, L, accum, dW[:, None], h)
+        a, L, pre, post, fail = _advance(F, a, L, dW[:, None], h)
         assert not fail.any()
         res_max = np.maximum(res_max, pre)
     steps = []
@@ -234,7 +229,6 @@ def test_step_matches_run_paths_bitwise(monkeypatch):
     out = run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=1)
     assert np.array_equal(a.T, out.a)
     assert np.array_equal(steps[-1][1], L)
-    assert np.array_equal(np.moveaxis(accum, -1, 0), out.sigma_accum)
     assert np.array_equal(res_max, out.fiber_residual_max)
     assert np.array_equal(post, out.record_post_residual[-1])
     # B is reported as the inverse of L L^* for the carried factor L
@@ -250,9 +244,9 @@ def test_run_paths_feeds_each_path_its_own_stream(monkeypatch):
     assert n_steps > 2 * _RNG_BLOCK
     fed = []
 
-    def step(F, a, L, accum, dW, h):
+    def step(F, a, L, dW, h):
         fed.append(dW.copy())
-        return _advance(F, a, L, accum, dW, h)
+        return _advance(F, a, L, dW, h)
 
     monkeypatch.setattr(localize, "_advance", step)
     out = run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=P)
@@ -266,10 +260,9 @@ def test_one_path_is_row_0_of_a_batch():
     F = paraboloid_map(2)
     one = run_paths(F, T=0.5, h=2e-3, seed=19, n_paths=1)
     seven = run_paths(F, T=0.5, h=2e-3, seed=19, n_paths=7)
-    for field in ("a", "B", "sigma_accum", "fiber_residual_max"):
+    for field in ("a", "B", "fiber_residual_max"):
         assert np.array_equal(getattr(one, field)[0], getattr(seven, field)[0])
-    for field in ("record_pre_residual", "record_post_residual", "record_lambda_min",
-                  "record_lambda_k1", "record_trace", "record_accum_gap"):
+    for field in RECORDS:
         assert np.array_equal(getattr(one, field)[:, 0], getattr(seven, field)[:, 0])
 
 
@@ -278,7 +271,7 @@ def test_one_path_is_row_0_of_a_batch():
 def test_a_row_steps_alone_as_in_a_stack(make):
     F = make()
     st = run_paths(F, T=0.2, h=2e-3, seed=3, n_paths=32)
-    args = [st.a.T, np.moveaxis(factor(st.B), 0, -1), np.moveaxis(st.sigma_accum, 0, -1),
+    args = [st.a.T, np.moveaxis(factor(st.B), 0, -1),
             np.array([increments(5, i, 2e-3, F.n, 1)[0] for i in range(32)]).T]
     stacked = _advance(F, *args, 2e-3)
     for i in range(32):
@@ -297,9 +290,9 @@ def test_carried_inverse_stays_the_inverse(make, monkeypatch):
     B = np.tile(np.eye(F.n, dtype=complex), (8, 1, 1))
     worst = []
 
-    def step(F, a, L, accum, dW, h):
+    def step(F, a, L, dW, h):
         nonlocal B
-        out = _advance(F, a, L, accum, dW, h)
+        out = _advance(F, a, L, dW, h)
         s, J = h / F.n, eval_jacobian(F, a.T)
         Jh = np.conj(J.swapaxes(1, 2))
         B = (1 + s) * B - s * Jh @ np.linalg.solve(J @ np.linalg.solve(B, Jh), J)
@@ -325,10 +318,6 @@ def z40_map():
     """f = z_2 - z_1^40 from (1, 1): at h = 10 the noise throws some
     centers where Gauss-Newton cannot come back to the zero set."""
     return PolynomialMap(2, 1, [[(1.0, [0, 1]), (-1.0, [40, 0])]], np.array([1.0, 1.0]))
-
-
-RECORDS = ("record_pre_residual", "record_post_residual", "record_lambda_min",
-           "record_lambda_k1", "record_trace", "record_accum_gap")
 
 
 @pytest.mark.parametrize("make, T, h, P, seed, reason, n_aborted", [
@@ -383,6 +372,19 @@ def test_rotated_affine_path_keeps_relative_accuracy(T):
     assert np.all(np.abs(out.record_lambda_min - 1) <= 1e-10)
 
 
+def test_a_horizon_at_the_cap_stays_finite():
+    # at T = MAX_T_OVER_N n and h = 1, b = 1.5^1200 is about e^487: every
+    # recorded value and B stay finite, and one step more is refused
+    F, T, h = rotated_affine_map(), localize.MAX_T_OVER_N * 2, 1.0
+    out = run_paths(F, T=T, h=h, seed=1, n_paths=2)
+    for field in RECORDS + ("B",):
+        assert np.all(np.isfinite(getattr(out, field)))
+    b = ((1 + h / 2) ** np.round(out.record_t / h))[:, None]
+    assert np.all(np.abs(out.record_lambda_k1 / b - 1) <= 1e-10)
+    with pytest.raises(ValidationError, match="past 600 n"):
+        run_paths(F, T=T + h, h=h, seed=1, n_paths=2)
+
+
 def test_affine_path_matches_closed_form_b():
     # For f = z_1 the matrix dynamics are deterministic and diagonal:
     # b_11 = 1, b_22 solves b' = b/2, so b_22(t) = e^{t/2}
@@ -391,8 +393,8 @@ def test_affine_path_matches_closed_form_b():
     assert st.B[0, 0].real == pytest.approx(1.0, abs=1e-10)
     assert abs(st.B[0, 1]) <= 1e-10
     assert st.B[1, 1].real == pytest.approx(np.e, rel=2e-3)
-    # the diagnostics table has 6 columns and ends at T
-    assert diag.shape[1] == 6
+    # the diagnostics table has 5 columns and ends at T
+    assert diag.shape[1] == 5
     assert diag[-1, 0] == pytest.approx(2.0)
 
 
@@ -434,18 +436,6 @@ def test_path_residuals_controlled():
     assert residual_norm(F, st.a) <= 1e-10
     assert st.fiber_residual_max <= 10 * h
     assert np.all(diag[:, 1] <= 10 * h)
-
-
-def test_accumulation_identity_first_order_in_h():
-    # |sigma_accum - (Id - B^{-1})| at T = 2 for the deterministic affine
-    # dynamics; halving h should roughly halve the gap, over 4 refinements
-    F = affine_map(2)
-    gaps = []
-    for h in [4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4]:
-        st, diag = run_path(F, T=2.0, h=h, seed=0)
-        gaps.append(diag[-1, 5])
-    for g0, g1 in zip(gaps, gaps[1:]):
-        assert 0.3 <= g1 / g0 <= 0.7
 
 
 def test_batch_invariants_paraboloid():
@@ -536,8 +526,7 @@ def test_terminal_gaussians_of_a_stack_are_its_rows(make):
 
 def stacked_state(diagonals, t):
     B = np.array([np.diag(d) for d in diagonals], dtype=complex)
-    return LocalizationState(t=t, a=np.zeros(B.shape[:2], dtype=complex), B=B,
-                             sigma_accum=np.eye(B.shape[1]) - np.linalg.inv(B))
+    return LocalizationState(t=t, a=np.zeros(B.shape[:2], dtype=complex), B=B)
 
 
 def test_terminal_gaussians_truncate_and_check_every_row():
@@ -610,7 +599,7 @@ def test_codim2_step_increment_matches_square_root_reference():
     F = codim2_map()
     st = codim2_state()
     h = 1e-2
-    _, B, _ = advance(F, st, h, increments(6, 0, h, 3, 1)[0])
+    _, B = advance(F, st, h, increments(6, 0, h, 3, 1)[0])
     Bh, _, pi = reference_pieces(F, st)
     inc = (h / F.n) * Bh @ pi @ Bh
     assert np.allclose(B[0] - st.B, inc, rtol=0, atol=1e-13 * np.linalg.norm(st.B))
