@@ -252,24 +252,26 @@ def cmd_tube(cfg, out: Path) -> int:
                                      norm_weights=weights)
         rows = [{"r": e.r, "p_hat": e.p_hat, "stderr": e.stderr,
                  "baseline": None, "margin": None, "verdict": "n/a"} for e in ests]
-        failures, unconverged = ests[0].optimizer_failures, ests[0].unconverged
-        passed = True
-        distance = None
+        res, passed = ests[0], True
+        distance = bounds = residual = None
     else:
         res = mc.waist_check(F, cfg["r_grid"], cfg["N"], cfg["seed"],
                              distance=cfg.get("distance"))
         rows = [dataclasses.asdict(w) for w in res.rows]
-        failures, unconverged = res.optimizer_failures, res.unconverged
         passed = res.passed
-        distance = res.distance
+        distance, bounds, residual = res.distance, res.distance_bounds, res.optimality_residual
     doc = {
         "experiment": "tube",
         "config_hash": config_hash(cfg),
         "seed": cfg["seed"],
         "distance": distance,
+        "distance_bounds": bounds,
+        "optimality_residual": residual,
         "rows": rows,
-        "optimizer_failures": failures,
-        "unconverged": unconverged,
+        "optimizer_failures": res.optimizer_failures,
+        "unconverged": res.unconverged,
+        "certified_misses": res.certified_misses,
+        "decided_early": res.decided_early,
     }
     _write_json(out / "tube_results.json", doc)
     plot = ["# r p_hat stderr baseline"]

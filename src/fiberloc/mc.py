@@ -6,12 +6,16 @@ only when the constrained optimizer actually exhibits a feasible point of
 the zero set within the radius, so failures can only undercount. That is
 the safe direction for checking lower bounds on tube measures. One sample
 of distances to the zero set serves the whole radius grid, in the
-Euclidean and the circled norm alike (estimate_tube_grid).
+Euclidean and the circled norm alike (estimate_tube_grid). The grid only
+asks which interval of it each distance falls in: a sample whose certified
+lower bound (polymap.fiber_lower_bound) exceeds every radius is a miss
+without minimization, and the minimization of any other sample stops once
+its distance reaches the least radius above that bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,11 +56,16 @@ class TubeEstimate:
     r: float
     p_hat: float
     stderr: float
+    wilson_hi: float
     n_samples: int
     n_hits: int
     norm_tag: str
     optimizer_failures: int = 0
     unconverged: int = 0
+    # work the grid saved: they depend on the whole grid rather than on
+    # this radius, so they take no part in comparing estimates
+    certified_misses: int = field(default=0, compare=False)
+    decided_early: int = field(default=0, compare=False)
 
 
 def _start_offsets(seed: int, lo: int, m: int, n_starts: int, n: int) -> np.ndarray:
@@ -71,38 +80,64 @@ def _start_offsets(seed: int, lo: int, m: int, n_starts: int, n: int) -> np.ndar
 
 
 def fiber_distances(F: PolynomialMap, points: np.ndarray, seed: int,
-                    n_starts: int = DEFAULT_STARTS,
-                    perturb_scale: float = 1.0) -> tuple[np.ndarray, int, int]:
+                    n_starts: int = DEFAULT_STARTS, perturb_scale: float = 1.0,
+                    r_grid=None) -> tuple[np.ndarray, int, int, int, int]:
     """Distance from each point to the zero set of F, by multi-start
-    constrained minimization (upper bounds on the true distances).
+    constrained minimization (upper bounds on the true distances), or,
+    given r_grid, a value in the same interval of the grid as that
+    distance.
 
     Start 0 is the Gauss-Newton projection of the point itself; the rest
-    are Gaussian perturbations at scale perturb_scale (_start_offsets).
-    Returns (dist, n_failures, n_unconverged). Failures are points for
-    which no start stayed feasible; their distance is +inf. Unconverged
-    points are those whose closest start did not reach polymap.KKT_TOL;
-    they keep that start's distance, since a feasible point within r
-    already certifies a hit at radius r.
+    are Gaussian perturbations at scale perturb_scale (_start_offsets),
+    drawn for every point. Given a grid, each point x gets the certified
+    lower bound rho of polymap.fiber_lower_bound. Where rho exceeds every
+    radius the point is a certified miss, skips the minimizer and gets
+    rho. Any other point stops as soon as one of its starts comes within
+    e, the least radius >= rho (minimize_fiber_distance's enough): its
+    value then lies in [rho, e], which holds no other radius, so it
+    decides every radius as its distance would. The other points, the
+    undecided ones, get the same bits as without a grid.
+
+    Returns (dist, n_failures, n_unconverged, n_certified_misses,
+    n_decided_early), the first two over the undecided points only.
+    Failures are points for which no start stayed feasible; their
+    distance is +inf. Unconverged points are those whose closest start
+    did not reach polymap.KKT_TOL; they keep that start's distance, since
+    a feasible point within r already certifies a hit at radius r.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     N, n = pts.shape
+    grid = None if r_grid is None else np.sort(np.asarray(r_grid, dtype=float))
     dist = np.empty(N)
-    failures = unconverged = 0
+    failures = unconverged = certified = early = 0
     chunk = max(1, _CHUNK // _START_BLOCK) * _START_BLOCK
     for lo in range(0, N, chunk):
         blk = pts[lo:lo + chunk]
         m = blk.shape[0]
-        targets = np.tile(blk, (n_starts, 1))
+        offsets = _start_offsets(seed, lo, m, n_starts, n)
+        if grid is None:
+            live, enough = np.arange(m), np.full(m, -np.inf)
+        else:
+            rho = polymap.fiber_lower_bound(F, blk)
+            at = np.searchsorted(grid, rho)
+            live = np.flatnonzero(at < grid.size)
+            enough = grid[at[live]]
+            dist[lo:lo + m] = rho
+        q = live.size
+        certified += m - q
+        targets = np.tile(blk[live], (n_starts, 1))
         starts = targets.copy()
-        starts[m:] += perturb_scale * _start_offsets(seed, lo, m, n_starts, n).reshape(-1, n)
-        _, d, _, kkt = minimize_fiber_distance(F, targets, starts)
-        d, kkt = d.reshape(n_starts, m), kkt.reshape(n_starts, m)
+        starts[q:] += perturb_scale * offsets[:, live].reshape(-1, n)
+        _, d, _, kkt = minimize_fiber_distance(F, targets, starts, enough)
+        d, kkt = d.reshape(n_starts, q), kkt.reshape(n_starts, q)
         arg = d.argmin(axis=0)
-        dmin, kmin = d[arg, np.arange(m)], kkt[arg, np.arange(m)]
+        dmin, kmin = d[arg, np.arange(q)], kkt[arg, np.arange(q)]
+        decided = dmin <= enough
+        early += int(decided.sum())
         failures += int(np.sum(~np.isfinite(dmin)))
-        unconverged += int(np.sum(np.isfinite(dmin) & ~(kmin <= polymap.KKT_TOL)))
-        dist[lo:lo + m] = dmin
-    return dist, failures, unconverged
+        unconverged += int(np.sum(~decided & np.isfinite(dmin) & ~(kmin <= polymap.KKT_TOL)))
+        dist[lo + live] = dmin
+    return dist, failures, unconverged, certified, early
 
 
 def estimate_tube_grid(F: PolynomialMap, r_grid, N: int, seed: int,
@@ -131,16 +166,17 @@ def estimate_tube_grid(F: PolynomialMap, r_grid, N: int, seed: int,
         tag = "circled(" + ",".join(f"{x:g}" for x in w) + ")"
     else:
         Fw, pts, tag = F, samples, "euclidean"
-    dist, failures, unconverged = fiber_distances(
-        Fw, pts, seed, perturb_scale=max(max(r_grid), 1e-2))
+    dist, failures, unconverged, certified, early = fiber_distances(
+        Fw, pts, seed, perturb_scale=max(max(r_grid), 1e-2), r_grid=r_grid)
     estimates = []
     for r in r_grid:
         hits = int(np.sum(dist <= r))
-        p_hat, stderr, _, _ = confidence_interval(hits, N)
-        estimates.append(TubeEstimate(r=r, p_hat=p_hat, stderr=stderr, n_samples=N,
-                                      n_hits=hits, norm_tag=tag,
+        p_hat, stderr, _, hi = confidence_interval(hits, N)
+        estimates.append(TubeEstimate(r=r, p_hat=p_hat, stderr=stderr, wilson_hi=hi,
+                                      n_samples=N, n_hits=hits, norm_tag=tag,
                                       optimizer_failures=failures,
-                                      unconverged=unconverged))
+                                      unconverged=unconverged,
+                                      certified_misses=certified, decided_early=early))
     return tuple(estimates)
 
 
@@ -167,6 +203,10 @@ class WaistResult:
     distance: float
     optimizer_failures: int
     unconverged: int
+    certified_misses: int
+    decided_early: int
+    distance_bounds: tuple | None = None
+    optimality_residual: float | None = None
 
 
 def waist_check(F: PolynomialMap, r_grid, N: int, seed: int,
@@ -175,24 +215,37 @@ def waist_check(F: PolynomialMap, r_grid, N: int, seed: int,
     affine-subspace baseline at the same distance from the origin.
 
     The estimates come from estimate_tube_grid, so they share one distance
-    sample and are monotone in r. Passes when the margin p_hat - baseline
-    is >= -3 stderr at every radius.
+    sample and are monotone in r. A radius fails only when the upper end
+    of the WILSON_Z-sigma Wilson interval of p_hat is below the baseline,
+    which also decides the radii with no hit or no miss, where the normal
+    stderr is 0. Without a given distance, distance is the minimizer's
+    upper bound d_hat on dist(0, Z) and the baselines are evaluated at the
+    certified lower bound d_lo (polymap.fiber_lower_bound at 0): the
+    baseline falls as d grows, so only a lower bound cannot make a pass
+    easier. distance_bounds is then (d_lo, d_hat) and optimality_residual
+    the minimizer's tangential gradient norm at d_hat's point.
     """
     estimates = estimate_tube_grid(F, sorted(float(r) for r in r_grid), N, seed)
-    d = distance if distance is not None else polymap.distance_to_origin(F).value
+    bounds = residual = None
+    d = distance
+    if distance is None:
+        found = polymap.distance_to_origin(F)
+        distance, residual = found.value, found.optimality_residual
+        d = polymap.fiber_lower_bound(F, np.zeros(F.n))
+        bounds = (d, distance)
     rows = []
-    passed = True
     for est in estimates:
         baseline = affine_tube_measure(F.n, F.k, d, est.r)
-        margin = est.p_hat - baseline
-        ok = margin >= -3 * est.stderr
-        passed = passed and ok
         rows.append(WaistRow(r=est.r, p_hat=est.p_hat, stderr=est.stderr,
-                             baseline=baseline, margin=margin,
-                             verdict="pass" if ok else "fail"))
-    return WaistResult(rows=tuple(rows), passed=passed, distance=d,
-                       optimizer_failures=estimates[0].optimizer_failures,
-                       unconverged=estimates[0].unconverged)
+                             baseline=baseline, margin=est.p_hat - baseline,
+                             verdict="pass" if est.wilson_hi >= baseline else "fail"))
+    first = estimates[0]
+    return WaistResult(rows=tuple(rows), passed=all(r.verdict == "pass" for r in rows),
+                       distance=distance, optimizer_failures=first.optimizer_failures,
+                       unconverged=first.unconverged,
+                       certified_misses=first.certified_misses,
+                       decided_early=first.decided_early,
+                       distance_bounds=bounds, optimality_residual=residual)
 
 
 # ---------------------------------------------------------------------------

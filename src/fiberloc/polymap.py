@@ -1,15 +1,16 @@
 """Holomorphic polynomial maps C^n -> C^k and their zero sets.
 
 A map is stored as one monomial table (exponent rows, a coefficient column
-per component); f, its exact Jacobian and its second derivatives are
-plans over that table, the last built on first use.
-The zero set is traversed with Gauss-Newton projection; all point-wise
+per component); f, its exact Jacobian, its second derivatives and its
+Taylor coefficients are plans over that table, the last two built on first
+use. The zero set is traversed with Gauss-Newton projection; all point-wise
 operations accept either a single point (n,) or a stack (P, n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, prod
 
 import numpy as np
 
@@ -32,6 +33,27 @@ def _derivative_table(exps: np.ndarray, coeffs: np.ndarray):
     d_exps = (exps[:, None, :] - np.eye(n, dtype=np.int64))[held]
     d_coeffs = np.einsum("mc,ml,lq->mlcq", coeffs, exps, np.eye(n))[held]
     return d_exps, d_coeffs.reshape(len(d_exps), coeffs.shape[1] * n)
+
+
+def _taylor_table(exps: np.ndarray, coeffs: np.ndarray):
+    """The monomial table of the Taylor coefficients of a table's columns.
+
+    At z = x + u, c z^m is the sum over b <= m of c prod_i binom(m_i, b_i)
+    x^(m - b) u^b: one row of exponent m - b per pair (m, b), its
+    coefficients in the columns (b, c). The b run over every exponent that
+    some monomial holds, by degree, so b = 0 comes first. Returns the b
+    (B, n) and the table, whose rows are distinct.
+    """
+    terms = [(b, m, c) for m, c in zip(exps, coeffs) for b in np.ndindex(*(m + 1))]
+    betas = sorted({b for b, _, _ in terms}, key=lambda b: (sum(b), b))
+    col = {b: i for i, b in enumerate(betas)}
+    rows: dict = {}
+    for b, m, c in terms:
+        e = tuple(int(x) for x in m - np.array(b))
+        row = rows.setdefault(e, np.zeros((len(betas), coeffs.shape[1]), dtype=complex))
+        row[col[b]] += c * prod(comb(int(mi), bi) for mi, bi in zip(m, b))
+    return (np.array(betas, dtype=np.int64), np.array(list(rows), dtype=np.int64),
+            np.array([r.ravel() for r in rows.values()]))
 
 
 def _plan(exps: np.ndarray, coeffs: np.ndarray):
@@ -98,6 +120,10 @@ class PolynomialMap:
             raise ValidationError(
                 f"Jacobian at base_point is rank-deficient (sigma_min={smin:.3e})"
             )
+
+    # (plan, degree and sphere weight of each Taylor exponent), built on
+    # first use by fiber_lower_bound
+    _taylor = None
 
     @classmethod
     def from_json(cls, obj: dict) -> "PolynomialMap":
@@ -175,6 +201,59 @@ def eval_hessian(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
         F._d2f_plan = _plan(*_derivative_table(*F._df_table))
     out = _eval_plan(F, z, F._d2f_plan)
     return out.reshape(out.shape[:-1] + (F.k, F.n, F.n))
+
+
+# fiber_lower_bound shrinks its bound by this relative margin. Where the
+# bound is near a positive radius, t = |f_j(x)| - FIBER_TOL is of the order
+# of that radius times the Taylor bounds, so the rounding of the computed
+# coefficients, of the bisection's polynomial and of the minimizer's own
+# |f| <= FIBER_TOL test moves the root by a few ulps times the number of
+# monomials, relative; 1e-9 covers that for tables of up to ~1e5 monomials
+# and is below any radius resolution a tube estimate needs. The bisection
+# leaves the root within 2^-_BISECTIONS of its bracket, far inside the margin.
+_BOUND_MARGIN = 1e-9
+_BISECTIONS = 40
+
+
+def fiber_lower_bound(F: PolynomialMap, z: np.ndarray):
+    """A certified lower bound on the distance from z to {|f| <= FIBER_TOL};
+    a float for a single point, (P,) stacked.
+
+    At z + u each component is f_j(z) + sum_d P_d(u), P_d homogeneous of
+    degree d with |P_d(u)| <= B_d |u|^d: B_1 = |grad f_j(z)| and, for
+    d >= 2, B_d = sum over |b| = d of |a_b| prod_i (b_i / d)^(b_i / 2),
+    the a_b being the Taylor coefficients (_taylor_table) and each product
+    the maximum of |u^b| on the unit sphere. So |f_j(z + u)| > FIBER_TOL
+    wherever sum_d B_d |u|^d < t = |f_j(z)| - FIBER_TOL. rho_j is the lower
+    end of a bisection for the root of sum_d B_d rho^d = t, bracketed by
+    0 and min_d (t / B_d)^(1/d), and 0 where t <= 0 or the bracket is not
+    finite. The bound is max_j rho_j shrunk by _BOUND_MARGIN.
+    """
+    pts, single = _as_points(z, F.n)
+    if F._taylor is None:
+        betas, exps, coeffs = _taylor_table(F._exps, F._coeffs)
+        deg = betas.sum(axis=1)
+        weight = np.prod((betas / np.maximum(deg, 1)[:, None]) ** (betas / 2), axis=1)
+        F._taylor = (_plan(exps, coeffs), deg, weight)
+    plan, deg, weight = F._taylor
+    a = np.abs(_eval_plan(F, pts, plan)).reshape(pts.shape[0], deg.size, F.k)
+    t = a[:, 0] - FIBER_TOL
+    B = [np.sqrt(np.sum(a[:, deg == 1] ** 2, axis=1))]
+    B += [np.sum(a[:, deg == d] * weight[deg == d, None], axis=1)
+          for d in range(2, deg.max() + 1)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hi = np.min([(t / b) ** (1 / d) for d, b in enumerate(B, 1)], axis=0)
+    hi = np.where((t > 0) & np.isfinite(hi), hi, 0.0)
+    lo = np.zeros_like(hi)
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        phi = np.zeros_like(mid)
+        for b in reversed(B):
+            phi = (phi + b) * mid
+        under = phi <= t
+        lo, hi = np.where(under, mid, lo), np.where(under, hi, mid)
+    rho = lo.max(axis=1) * (1 - _BOUND_MARGIN)
+    return float(rho[0]) if single else rho
 
 
 def residual_norm(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
@@ -323,7 +402,7 @@ def _newton_step(F: PolynomialMap, w: np.ndarray, g: np.ndarray):
 
 
 def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
-                            starts: np.ndarray):
+                            starts: np.ndarray, enough=(-np.inf,)):
     """Locally minimize |w - x| subject to f(w) = 0, for each target x
     from its start.
 
@@ -339,21 +418,34 @@ def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
     it by integer index once its tangential gradient is at most KKT_TOL
     or not finite, or once its step length falls below _STEP_MIN.
 
+    Pair i belongs to group i % len(enough). All pairs of a group leave
+    together once the least distance any of them has reached is at most
+    the group's entry of enough, checked after the projection of the
+    starts and after every accepted trial; a caller that only needs to
+    know whether some pair comes within that distance stops there. The
+    default never stops a group.
+
     Returns (w, dist, ok, kkt). w is the closest feasible point the pair
     visited, or its stationary last iterate when that is at most FIBER_TOL
     farther, and dist its distance: every finite distance is attained by a
     point with |f| <= FIBER_TOL. ok flags the starts whose projection was
     feasible (dist is +inf elsewhere). kkt is the tangential gradient norm
-    at w, +inf where it could not be computed; the pair converged when
+    at w, +inf where it could not be computed (as at a best point reached
+    in the step on which its group stopped); the pair converged when
     kkt <= KKT_TOL.
     """
     tgt = np.atleast_2d(np.asarray(targets, dtype=complex))
     best_w, _, ok, _, _ = project_batch(F, starts, max_iter=_NEWTON_GN_ITER)
     best = np.where(ok, np.linalg.norm(best_w - tgt, axis=1), np.inf)
     kkt = np.full(best.shape, np.inf)
+    # each group's least distance reached so far
+    enough = np.asarray(enough, dtype=float)
+    group = np.arange(best.size) % enough.size
+    reached = np.full(enough.size, np.inf)
+    np.minimum.at(reached, group, best)
     # the working set: row indices, iterates, distances, step lengths and
     # whether each iterate is its pair's best point
-    rows = np.flatnonzero(ok)
+    rows = np.flatnonzero(ok & ~(reached <= enough)[group])
     w, dist = best_w[rows], best[rows]
     alpha, at_best = np.ones(rows.size), np.ones(rows.size, dtype=bool)
     for it in range(_NEWTON_ITER + 1):
@@ -377,12 +469,18 @@ def minimize_fiber_distance(F: PolynomialMap, targets: np.ndarray,
         cd = np.linalg.norm(cand - tgt[rows], axis=1)
         take = feasible & (cd * cd <= dist * dist + 2 * _ARMIJO * alpha * slope
                            + 2 * dist * FIBER_TOL)
+        improved = take & (cd < best[rows])
         w = np.where(take[:, None], cand, w)
-        at_best = np.where(take, cd < best[rows], at_best)
+        at_best = improved | (at_best & ~take)
         dist = np.where(take, cd, dist)
         alpha = np.where(take, 1.0, 0.5 * alpha)
+        # or once its group has come close enough, keeping its best point
+        np.minimum.at(reached, group[rows], np.where(improved, dist, np.inf))
+        done = (reached <= enough)[group[rows]]
+        j = np.flatnonzero(done & improved)
+        best_w[rows[j]], best[rows[j]], kkt[rows[j]] = w[j], dist[j], np.inf
         # or once its step length falls below _STEP_MIN
-        keep = np.flatnonzero(alpha >= _STEP_MIN)
+        keep = np.flatnonzero((alpha >= _STEP_MIN) & ~done)
         rows, w, dist, alpha, at_best = (
             a.take(keep, axis=0) for a in (rows, w, dist, alpha, at_best))
     return best_w, best, ok, kkt

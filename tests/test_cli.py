@@ -286,6 +286,29 @@ def test_tube_results_schema_and_determinism(tmp_path):
             == (tmp_path / "b" / "tube_plot.dat").read_bytes())
 
 
+def test_tube_results_count_the_decided_samples(tmp_path):
+    # the counts of the library's results, at document level; the distance
+    # bounds only where the distance is derived
+    from fiberloc import mc
+    cfg = {"map": HYPERBOLA, "seed": 3, "r_grid": [0.6, 1.0], "N": 500}
+    runs = {"derived": cfg, "given": {**cfg, "distance": 1.5},
+            "circled": {**cfg, "weights": [1.0, 2.0]}}
+    for name, c in runs.items():
+        assert cli.main(["tube", "--config", write_config(tmp_path, c, f"{name}.json"),
+                         "--out", str(tmp_path / name)]) == 0
+        doc = json.loads((tmp_path / name / "tube_results.json").read_text())
+        est = mc.estimate_tube_grid(hyperbola_map(), c["r_grid"], 500, 3,
+                                    norm_weights=c.get("weights"))[0]
+        assert (doc["certified_misses"], doc["decided_early"]) \
+            == (est.certified_misses, est.decided_early)
+        assert doc["certified_misses"] + doc["decided_early"] > 0
+        if name == "derived":
+            lo, hi = doc["distance_bounds"]
+            assert lo <= hi == doc["distance"] and doc["optimality_residual"] <= 1e-6
+        else:
+            assert doc["distance_bounds"] is None and doc["optimality_residual"] is None
+
+
 def test_tube_circled_norm_rows(tmp_path):
     cfg = {"map": HYPERBOLA, "seed": 3, "r_grid": [0.8], "N": 300,
            "weights": [1.0, 2.0]}

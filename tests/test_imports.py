@@ -1,6 +1,7 @@
 """Every module-level import in the package modules and the test files is
 used, the command line loads no SciPy, and the step kernels of the path
-engine and the closest-point solver call no LAPACK wrapper."""
+engine, the closest-point solver and the distance bound call no LAPACK
+wrapper."""
 
 import ast
 import os
@@ -53,10 +54,12 @@ def test_the_command_line_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-# The kernels that run once per step or iteration, and the LAPACK wrappers
-# and stacked products they leave to the P-last kernels of linalg
+# The kernels that run once per step, iteration or sample batch, and the
+# LAPACK wrappers and stacked products they leave to the P-last kernels of
+# linalg
 STEP_KERNELS = {"localize.py": ("_sigma_pieces", "_advance"),
-                "polymap.py": ("project_batch", "_newton_step", "minimize_fiber_distance"),
+                "polymap.py": ("project_batch", "_newton_step", "minimize_fiber_distance",
+                               "fiber_lower_bound"),
                 "linalg.py": ("_mm", "_gram", "_jacobi_eigh", "_householder_qr",
                               "_cholesky_update")}
 LAPACK = {"inv", "solve", "cholesky", "eigh", "eigvalsh", "qr", "svd", "det", "slogdet",

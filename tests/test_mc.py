@@ -17,9 +17,11 @@ from fiberloc import (
     paraboloid_map,
     waist_check,
 )
-from fiberloc import mc
+from fiberloc import affine_tube_measure, mc, polymap
 from fiberloc.mc import fiber_distances
-from fiberloc.polymap import PolynomialMap
+from fiberloc.polymap import PolynomialMap, fiber_lower_bound
+from test_localize import codim2_map
+from test_polymap import quintic_map, random_cubic_map
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +81,15 @@ def test_tube_hits_monotone_in_starts():
     # more optimizer starts can only find shorter distances, so more hits
     F = hyperbola_map()
     pts = mc.sample_std_complex(mc.path_rng(4, mc._TAG_SAMPLES), 2000, 2)
-    lean, _, _ = fiber_distances(F, pts, seed=4, n_starts=1)
-    rich, _, _ = fiber_distances(F, pts, seed=4, n_starts=9)
+    lean = fiber_distances(F, pts, seed=4, n_starts=1)[0]
+    rich = fiber_distances(F, pts, seed=4, n_starts=9)[0]
     assert np.sum(rich <= 1.0) >= np.sum(lean <= 1.0)
 
 
 def test_fiber_distances_affine_exact():
     F = affine_map(2, offset=1.0)
     pts = np.array([[0.0, 5.0], [1.0 + 1.0j, -2.0], [3.0, 0.0]], dtype=complex)
-    d, failures, unconverged = fiber_distances(F, pts, seed=0)
+    d, failures, unconverged, _, _ = fiber_distances(F, pts, seed=0)
     assert failures == 0 and unconverged == 0
     assert np.allclose(d, [1.0, 1.0, 2.0], atol=1e-8)
 
@@ -98,10 +100,65 @@ def test_fiber_distances_do_not_depend_on_the_chunk(monkeypatch):
     F = hyperbola_map()
     pts = mc.sample_std_complex(np.random.default_rng(19), 1000, 2)
     default = fiber_distances(F, pts, seed=4, perturb_scale=2.0)
+    grid = fiber_distances(F, pts, seed=4, perturb_scale=2.0, r_grid=[0.5, 1.0])
     monkeypatch.setattr(mc, "_CHUNK", 300)
     chunked = fiber_distances(F, pts, seed=4, perturb_scale=2.0)
     assert np.array_equal(default[0], chunked[0])
     assert default[1:] == chunked[1:]
+    # and so do the samples left undecided by a grid
+    chunked = fiber_distances(F, pts, seed=4, perturb_scale=2.0, r_grid=[0.5, 1.0])
+    assert np.array_equal(grid[0], chunked[0])
+    assert grid[1:] == chunked[1:] and grid[3] > 0 and grid[4] > 0
+
+
+# Maps of every shape the tube tests meet: a curve, a quadric, random and
+# degree-5 maps with k = 2, a curve of codimension two and a hyperplane
+BOUND_MAPS = {"hyperbola": hyperbola_map, "paraboloid3": lambda: paraboloid_map(3),
+              "cubic": random_cubic_map, "quintic": quintic_map, "codim2": codim2_map,
+              "affine": lambda: affine_map(3, 0.7)}
+
+
+@pytest.fixture(scope="module", params=list(BOUND_MAPS))
+def bound_cases(request):
+    """A map with 3000 standard Gaussian points, and the same map in the
+    circled norm with weights (1, 2, ...) on 1000 of them (the rescaled map
+    and points, as estimate_tube_grid makes them), each with its distances
+    without a grid."""
+    F = BOUND_MAPS[request.param]()
+    pts = mc.sample_std_complex(np.random.default_rng(61), 3000, F.n)
+    w = 1.0 + np.arange(F.n)
+    cases = [(F, pts), (F.rescaled(w), pts[:1000] * w)]
+    return [(G, x, fiber_distances(G, x, seed=62)[0]) for G, x in cases]
+
+
+def test_fiber_lower_bound_is_below_every_distance(bound_cases):
+    for F, pts, dist in bound_cases:
+        rho = fiber_lower_bound(F, pts)
+        assert np.all(rho <= dist)
+        assert np.all(rho >= 0) and np.median(rho / dist) > 0.3
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.4, 1.0, 2.0], [0.7]], ids=["with-0", "single"])
+def test_a_grid_keeps_every_hit_count(bound_cases, grid):
+    # a certified miss keeps rho, an early stop a distance in [rho, e], and
+    # an undecided sample the bits it has without a grid: every radius
+    # counts the same hits
+    for F, pts, dist in bound_cases:
+        got, failures, unconverged, certified, early = fiber_distances(
+            F, pts, seed=62, r_grid=grid)
+        assert [np.sum(got <= r) for r in grid] == [np.sum(dist <= r) for r in grid]
+        rho = fiber_lower_bound(F, pts)
+        at = np.searchsorted(grid, rho)
+        miss = at == len(grid)
+        assert certified == miss.sum() and np.array_equal(got[miss], rho[miss])
+        e = np.array(grid)[np.minimum(at, len(grid) - 1)]
+        stopped = ~miss & (got <= e)
+        assert early == stopped.sum()
+        assert np.all(rho[stopped] <= got[stopped])
+        assert np.all(got[stopped] >= dist[stopped] - polymap.FIBER_TOL)
+        undecided = ~miss & ~stopped
+        assert np.array_equal(got[undecided], dist[undecided])
+        assert failures == np.sum(~np.isfinite(dist[undecided]))
 
 
 def test_tube_estimate_circled_norm_affine_oracle():
@@ -183,6 +240,35 @@ def test_waist_point_zero_set():
     assert out.distance == pytest.approx(0.5, abs=1e-12)
     for row in out.rows:
         assert abs(row.margin) <= 3 * max(row.stderr, 1e-3)
+
+
+@pytest.mark.parametrize("F, r, distance", [(affine_map(2, offset=0.5), 0.01, 0.5),
+                                             (hyperbola_map(), 0.02, None)],
+                         ids=["affine", "hyperbola"])
+def test_waist_passes_a_radius_with_no_hit(F, r, distance):
+    # p_hat = 0 has a normal stderr of 0, so a positive baseline failed the
+    # row (the affine case is the theorem's equality case); the Wilson
+    # upper bound at N = 2000 is 0.0045
+    out = waist_check(F, [r], N=2000, seed=3, distance=distance)
+    row, = out.rows
+    assert row.p_hat == 0.0 and row.stderr == 0.0 and 0 < row.baseline < 1e-3
+    assert row.verdict == "pass" and out.passed
+
+
+def test_waist_baselines_use_the_certified_distance():
+    # without a given distance the baselines are evaluated at the certified
+    # lower bound 1.414 on dist(0, Z), below the minimizer's 1.6158
+    F = PolynomialMap(3, 2, [[(1.0, [0, 0, 1]), (-1.0, [2, 0, 0])],
+                             [(1.0, [1, 1, 0]), (-1.0, [0, 0, 0])]], [1.0, 1.0, 1.0])
+    out = waist_check(F, r_grid=[0.5, 1.0], N=300, seed=5)
+    d_lo, d_hat = out.distance_bounds
+    assert d_lo == pytest.approx(np.sqrt(2.0), rel=1e-8) and d_hat == out.distance
+    assert out.optimality_residual <= 1e-6
+    for row in out.rows:
+        assert row.baseline == affine_tube_measure(3, 2, d_lo, row.r)
+    given = waist_check(F, r_grid=[0.5, 1.0], N=300, seed=5, distance=1.6158)
+    assert given.distance_bounds is None and given.optimality_residual is None
+    assert given.rows[0].baseline == affine_tube_measure(3, 2, 1.6158, 0.5)
 
 
 def test_waist_rows_monotone_in_radius():

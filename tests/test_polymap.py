@@ -17,6 +17,7 @@ from fiberloc.polymap import (
     KKT_TOL,
     RANK_TOL,
     eval_hessian,
+    fiber_lower_bound,
     minimize_fiber_distance,
     project_batch,
     residual_norm,
@@ -270,6 +271,67 @@ def test_hessian_plan_is_built_on_first_use():
     H = eval_hessian(F, z)
     assert F._d2f_plan is not None
     assert np.array_equal(eval_hessian(F, z), H)
+
+
+def test_taylor_coefficients_reproduce_the_map():
+    # f(x + u) = sum_b a_b(x) u^b, term by term, with the plan built on
+    # first use
+    F = quintic_map()
+    assert F._taylor is None
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    u = 0.7 * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+    fiber_lower_bound(F, x)
+    plan, deg, _ = F._taylor
+    betas = polymap._taylor_table(F._exps, F._coeffs)[0]
+    assert np.array_equal(deg, betas.sum(axis=1)) and deg[0] == 0
+    a = polymap._eval_plan(F, x, plan).reshape(4, len(betas), F.k)
+    powers = np.prod(u[:, None, :] ** betas[None], axis=2)
+    assert np.allclose(np.sum(a * powers[:, :, None], axis=1), eval_map(F, x + u),
+                       rtol=1e-12, atol=1e-12)
+
+
+def test_fiber_lower_bound_is_exact_where_the_bound_is_attained():
+    # the hyperbola's distance sqrt(2) from the origin and the distance
+    # |z_1 - 0.7| to a hyperplane are the roots of their bounds; each comes
+    # out shrunk by the margin alone
+    F = hyperbola_map()
+    rho = fiber_lower_bound(F, np.zeros(2))
+    assert isinstance(rho, float)
+    assert np.sqrt(2.0) * (1 - 2e-9) <= rho <= np.sqrt(2.0)
+    z = np.random.default_rng(32).standard_normal((50, 3)) + 0j
+    exact = np.abs(z[:, 0] - 0.7) - FIBER_TOL
+    rho = fiber_lower_bound(affine_map(3, 0.7), z)
+    assert np.all(rho <= exact) and np.all(rho >= exact * (1 - 2e-9))
+    # on the zero set, and where f is not finite, nothing is certified
+    assert fiber_lower_bound(F, np.ones(2)) == 0.0
+    with np.errstate(all="ignore"):
+        assert fiber_lower_bound(F, np.array([np.nan, 1.0])) == 0.0
+
+
+def test_the_minimizer_stops_a_group_that_came_close_enough():
+    # pair i is in group i % 100; a group stops once one of its pairs is
+    # within its entry of enough, and every other group runs as without
+    F = hyperbola_map()
+    rng = np.random.default_rng(33)
+    targets = np.tile(rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2)), (3, 1))
+    starts = targets + (rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2)))
+    enough = rng.uniform(0.0, 1.5, 100)
+    ref = minimize_fiber_distance(F, targets, starts)
+    for default, explicit in zip(ref, minimize_fiber_distance(F, targets, starts, (-np.inf,))):
+        assert np.array_equal(default, explicit)
+    w, dist, ok, kkt = minimize_fiber_distance(F, targets, starts, enough)
+    assert np.array_equal(ok, ref[2])
+    stopped = dist.reshape(3, 100).min(axis=0) <= enough
+    assert 10 < stopped.sum() < 90
+    # a stopped group reports feasible points, which further iterations
+    # could only have moved closer (up to the fiber tolerance)
+    finite = np.isfinite(dist)
+    assert np.all(residual_norm(F, w[finite]) <= FIBER_TOL)
+    assert np.all(dist[finite] >= ref[1][finite] - FIBER_TOL)
+    rest = np.tile(~stopped, 3)
+    for got, want in zip((w, dist, kkt), (ref[0], ref[1], ref[3])):
+        assert np.array_equal(got[rest], want[rest])
 
 
 def test_minimizer_masks_a_singular_row():
