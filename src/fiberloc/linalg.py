@@ -94,11 +94,13 @@ def _jacobi_eigh(A: np.ndarray):
     others, so that a row gives the same bits alone as in a stack; its
     tangent, 2 |A_pq| / (|d| + hypot(d, 2 |A_pq|)) with d = A_qq - A_pp,
     is at most 1 and cannot overflow. Only the real part of the diagonal
-    is read. The sweeps end once no row rotates: at d = 1 there is no
-    pair, at d = 2 the second sweep finds every A_pq zero. A is
-    overwritten.
+    is read. At d = 1 there is no pair, and the eigenvalue is that real
+    part, with eigenvector 1. The sweeps end once no row rotates: at d = 2
+    the second sweep finds every A_pq zero. A is overwritten.
     """
     d = A.shape[0]
+    if d == 1:
+        return A[0].real.copy(), np.ones_like(A)
     V = np.zeros_like(A)
     for i in range(d):
         V[i, i] = 1
@@ -143,20 +145,18 @@ def _jacobi_eigh(A: np.ndarray):
 
 
 def _householder_qr(A: np.ndarray):
-    """Complete QR of a P-last stack A (n, k, P), k <= n: Q (n, n, P) and
-    R (n, k, P).
+    """Complete QR of a P-last stack A (n, k, P), 1 <= k <= n: Q (n, n, P)
+    and R (n, k, P).
 
     Column i is mapped to beta e_i by the Hermitian reflector
     I - tau v v^*, with |beta| the column's norm below row i and beta of
     the opposite phase to its leading entry, so that nothing cancels.
-    Every operation acts on all P matrices at once. A zero column leaves
-    R_ii = 0 and is reflected by the identity.
+    Q is the first reflector itself, and each later one is applied to its
+    columns from i on. Every operation acts on all P matrices at once. A
+    zero column leaves R_ii = 0 and is reflected by the identity.
     """
     n, k = A.shape[:2]
     R = np.array(A, dtype=complex)
-    Q = np.zeros((n, n) + A.shape[2:], dtype=complex)
-    for ell in range(n):
-        Q[ell, ell] = 1
     for i in range(k):
         x = R[i:, i]
         lead = np.abs(x[0])
@@ -175,7 +175,12 @@ def _householder_qr(A: np.ndarray):
         R[i:, i + 1:] -= v[:, None] * (tau * _mm(vc[None], R[i:, i + 1:]))
         R[i, i] = -phase * norm
         R[i + 1:, i] = 0
-        Q[:, i:] -= (tau * _mm(Q[:, i:], v))[:, None] * vc[None]
+        if i == 0:
+            Q = -(tau * v)[:, None] * vc[None]
+            for ell in range(n):
+                Q[ell, ell] += 1
+        else:
+            Q[:, i:] -= (tau * _mm(Q[:, i:], v))[:, None] * vc[None]
     return Q, R
 
 

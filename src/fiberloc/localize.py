@@ -23,7 +23,10 @@ L (Id - Q Q^*) / sqrt(n), Q an orthonormal basis of the range of L^* J^*
 One kernel (_advance) performs the projected Euler-Maruyama step for a
 stack of paths held P-last, as the linalg kernels hold them. The batched
 engine run_paths drives it for every live path in lockstep, and run_path
-is a one-path wrapper over run_paths.
+is a one-path wrapper over run_paths. Path i's increments are the stream
+of path_rng(seed, i); run_paths reads them from a buffer of up to
+_RNG_BLOCK steps, which _refill fills a group of paths at a time from
+one re-keyed Philox.
 """
 
 from __future__ import annotations
@@ -153,16 +156,37 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _increment_block(rng: np.random.Generator, h: float, out: np.ndarray) -> None:
-    """Fill out (m, n) with m consecutive increments of the complex Brownian
-    motion over steps of length h: each coordinate is g1 + i g2 with
-    independent N(0, h) parts, so E|dW^j|^2 = 2h. An increment draws its n
-    real parts, then its n imaginary parts, so m draws equal any split of
-    them into consecutive blocks."""
-    m, n = out.shape
-    g = rng.standard_normal((m, 2 * n))
-    np.multiply(np.sqrt(h), g[:, :n], out=out.real)
-    np.multiply(np.sqrt(h), g[:, n:], out=out.imag)
+def _refill(rng: np.random.Generator, fresh: dict, keys: np.ndarray, saved: list,
+            keep: bool, h: float, out: np.ndarray, c: int) -> None:
+    """Fill out (m, n, P) with the next m increments of each path's stream.
+
+    Each coordinate of an increment is g1 + i g2 with independent N(0, h)
+    parts, so E|dW^j|^2 = 2h; an increment draws its n real parts, then its
+    n imaginary parts, so consecutive refills join into one stream. The one
+    Philox rng is set for path i to saved[i], or where that is None to
+    fresh with its key replaced by keys[i]: the state path_rng(seed, i)
+    starts from. With keep, saved[i] becomes the state after the draw. A
+    group of c paths draws its normals into one scratch (c, m, 2n), which
+    two multiplies scale into out.
+    """
+    m, n, P = out.shape
+    c = min(P, c)
+    g = np.empty((c, m, 2 * n))
+    sqrt_h = np.sqrt(h)
+    for i0 in range(0, P, c):
+        grp = g[:min(c, P - i0)]
+        for i, normals in enumerate(grp, start=i0):
+            if saved[i] is None:
+                fresh["state"]["key"] = keys[i]
+                rng.bit_generator.state = fresh
+            else:
+                rng.bit_generator.state = saved[i]
+            rng.standard_normal(out=normals)
+            if keep:
+                saved[i] = rng.bit_generator.state
+        cols = out[..., i0:i0 + len(grp)]
+        np.multiply(sqrt_h, grp[..., :n].transpose(1, 2, 0), out=cols.real)
+        np.multiply(sqrt_h, grp[..., n:].transpose(1, 2, 0), out=cols.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +283,13 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
     """Simulate n_paths independent paths from the base point up to time T.
 
     Deterministic given (seed, h, T, n_paths): path i consumes only the
-    stream keyed by (seed, i). Paths that hit a singularity or a
-    projection failure are frozen and flagged; the others continue.
-    A horizon past MAX_T_OVER_N n is refused: B could overflow there.
+    stream keyed by (seed, i). The increments of up to _RNG_BLOCK steps
+    are drawn ahead into one (m, n, P) buffer, by _refill every
+    _RNG_BLOCK steps: one Philox, re-keyed per path, draws them a group
+    of paths at a time, and each path's state is kept between blocks.
+    Paths that hit a singularity or a projection failure are frozen and
+    flagged; the others continue. A horizon past MAX_T_OVER_N n is
+    refused: B could overflow there.
     """
     if not (T > 0 and h > 0 and np.isfinite(T / h)):
         raise ValidationError("T and h must be positive, with a finite ratio T / h")
@@ -285,20 +313,23 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
     # one Philox for the batch, re-keyed for each path to the state that
     # path_rng(seed, i) starts from; a path's state is saved between blocks
     rng = path_rng(seed, 0)
-    start, states = rng.bit_generator.state, [None] * P
+    fresh = rng.bit_generator.state
+    keys = np.empty((P, 2), dtype=np.uint64)
+    keys[:, 0], keys[:, 1] = seed, np.arange(P)
+    saved = [None] * P
     buf = np.empty((min(_RNG_BLOCK, n_steps), n, P), dtype=complex)
+    # paths per group: the scratch (c, m, 2n) holds at most _RNG_BLOCK
+    # increments, as many as one path's block. A run of several blocks also
+    # holds every path's saved state and draws one path at a time, so that
+    # its last, shorter block adds no memory
+    c = max(1, _RNG_BLOCK // len(buf))
     act = slice(None)  # the live rows: all of them until a path aborts
     n_rec = -(-n_steps // record_every)  # the last step is always recorded
     rec_t, rec, r = np.empty(n_rec), np.empty((5, n_rec, P)), 0
 
     for j in range(n_steps):
         if j % _RNG_BLOCK == 0:
-            for i in range(P):
-                rng.bit_generator.state = states[i] or {
-                    **start, "state": {**start["state"], "key": np.array([seed, i], dtype=np.uint64)}}
-                _increment_block(rng, h, buf[:n_steps - j, :, i])
-                if j + _RNG_BLOCK < n_steps:
-                    states[i] = rng.bit_generator.state
+            _refill(rng, fresh, keys, saved, j + _RNG_BLOCK < n_steps, h, buf[:n_steps - j], c)
         dW = buf[j % _RNG_BLOCK]
 
         a_new, L_new, pre, post, fail = _advance(F, a[:, act], L[..., act], dW[:, act], h)

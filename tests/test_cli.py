@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import warnings
 
 import jsonschema
+import numpy as np
 import pytest
 
-from fiberloc import cli
+from fiberloc import cli, localize, mc
 from fiberloc.polymap import PolynomialMap, hyperbola_map
 
 
@@ -432,6 +434,70 @@ def test_centerlaw_outputs(tmp_path):
     assert doc["n_samples"] == 20
     # the affine fiber pins the first coordinate at zero
     assert doc["coord_abs_sq"][0] == 0.0
+
+
+# values whose text a CSV row must keep: nan, both infinities, a negative
+# zero, subnormals, and values that need all 17 significant digits
+AWKWARD = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.5e-310,
+                    0.1 + 0.2, 1 / 3, -123456789.12345678, 1e300])
+
+
+# the records a path CSV holds after t, in column order
+CSV_RECORDS = ("record_pre_residual", "record_lambda_min", "record_lambda_k1", "record_trace")
+
+
+def per_value_row(values):
+    """A CSV row as one formatted string per value, joined: the reference."""
+    return ",".join(f"{x:.17g}" for x in values)
+
+
+def test_localize_rows_keep_every_value(tmp_path, monkeypatch):
+    run_paths, made = localize.run_paths, []
+
+    def awkward(*args, **kwargs):
+        res = run_paths(*args, **kwargs)
+        R, P = res.record_trace.shape
+        res.record_t = np.resize(AWKWARD, R)
+        for s, name in enumerate(CSV_RECORDS, start=1):
+            setattr(res, name, np.resize(np.roll(AWKWARD, s), (P, R)).T.copy())
+        made.append(res)
+        return res
+
+    monkeypatch.setattr(localize, "run_paths", awkward)
+    cfg = {"map": AFFINE, "seed": 5, "T": 0.06, "h": 5e-3, "n_paths": 3}
+    with np.errstate(all="ignore"):
+        cli.main(["localize", "--config", write_config(tmp_path, cfg),
+                  "--out", str(tmp_path / "out")])
+    res, = made
+    for i in range(3):
+        text = (tmp_path / "out" / f"path_{i:04d}.csv").read_bytes()
+        rows = [per_value_row([t] + [getattr(res, name)[j, i] for name in CSV_RECORDS])
+                for j, t in enumerate(res.record_t)]
+        assert text.decode().splitlines()[3:] == rows
+        assert all(s in text for s in (b"nan", b"-inf", b"-0,", b"e-324", b"e-310"))
+
+
+def test_centerlaw_rows_keep_every_value(tmp_path, monkeypatch):
+    center_law_sample, made = mc.center_law_sample, []
+
+    def awkward(*args):
+        res = center_law_sample(*args)
+        z = np.resize(AWKWARD, (2,) + res.samples.shape)
+        samples = np.empty(res.samples.shape, dtype=complex)
+        samples.real, samples.imag = z[0], np.roll(z[1], 3)
+        made.append(samples)
+        return dataclasses.replace(res, samples=samples)
+
+    monkeypatch.setattr(mc, "center_law_sample", awkward)
+    cfg = {"map": AFFINE, "seed": 2, "T": 0.2, "h": 5e-3, "n_paths": 7}
+    rc = cli.main(["centerlaw", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    samples, = made
+    rows = [per_value_row([v for z in row for v in (z.real, z.imag)]) for row in samples]
+    text = (tmp_path / "centerlaw_samples.csv").read_bytes()
+    assert text.decode().splitlines()[3:] == rows
+    assert all(s in text for s in (b"nan", b"-inf", b"-0,", b"e-324", b"e-310"))
 
 
 def test_centerlaw_with_one_path_exits_1(tmp_path, capsys):

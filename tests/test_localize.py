@@ -19,8 +19,7 @@ from fiberloc import (
 )
 from fiberloc import localize
 from fiberloc.linalg import _mm
-from fiberloc.localize import (_RNG_BLOCK, LAMBDA_MIN_FLOOR, _advance, _increment_block,
-                               _sigma_pieces)
+from fiberloc.localize import _RNG_BLOCK, LAMBDA_MIN_FLOOR, _advance, _refill, _sigma_pieces
 from fiberloc.polymap import eval_jacobian, residual_norm
 
 # the per-step records of a BatchResult, each (R, P)
@@ -65,9 +64,12 @@ def advance(F, st, h, dW):
 
 
 def increments(seed, index, h, n, m):
-    """The first m increments (m, n) of the stream of path index under seed."""
+    """The first m increments (m, n) of the stream of path index under seed,
+    the reference stream: each is sqrt(h) (g[:n] + i g[n:]) for the next 2n
+    standard normals g."""
+    g = path_rng(seed, index).standard_normal((m, 2 * n))
     out = np.empty((m, n), dtype=complex)
-    _increment_block(path_rng(seed, index), h, out)
+    out.real, out.imag = np.sqrt(h) * g[:, :n], np.sqrt(h) * g[:, n:]
     return out
 
 
@@ -130,12 +132,14 @@ def test_brownian_increment_moments():
 def test_streams_are_independent_of_batching():
     # run_paths refills its increment buffer block by block along each
     # path's stream; the blocks must join into one unbroken sequence
-    block = increments(42, 7, 0.1, 3, 5)
-    rng = path_rng(42, 7)
-    split = np.empty((5, 3), dtype=complex)
-    _increment_block(rng, 0.1, split[:2])
-    _increment_block(rng, 0.1, split[2:])
-    assert np.array_equal(block, split)
+    rng = path_rng(42, 0)
+    fresh, saved = rng.bit_generator.state, [None] * 3
+    keys = np.array([[42, 7], [42, 8], [42, 9]], dtype=np.uint64)
+    split = np.empty((5, 3, 3), dtype=complex)
+    _refill(rng, fresh, keys, saved, True, 0.1, split[:2], 2)
+    _refill(rng, fresh, keys, saved, False, 0.1, split[2:], 2)
+    for i in range(3):
+        assert np.array_equal(split[..., i], increments(42, 7 + i, 0.1, 3, 5))
 
 
 def test_different_indices_give_different_streams():
@@ -252,6 +256,31 @@ def test_run_paths_feeds_each_path_its_own_stream(monkeypatch):
     out = run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=P)
     assert out.n_aborted == 0 and len(fed) == n_steps
     fed = np.array(fed)
+    for i in range(P):
+        assert np.array_equal(fed[..., i], increments(seed, i, h, F.n, n_steps))
+
+
+@pytest.mark.parametrize("n_steps", [100, 2 * _RNG_BLOCK + 100], ids=["one-block", "three-blocks"])
+def test_every_group_and_block_reads_its_own_stream(monkeypatch, n_steps):
+    # a run of 100 steps draws the paths in groups of c = _RNG_BLOCK // 100,
+    # so with P = 7 the last group is short; a run of three blocks draws
+    # one path at a time, and its last block is short. Each path must be
+    # keyed right at every group boundary, and after a block boundary
+    # resume its stream where the last block left it
+    F = paraboloid_map(2)
+    h, seed, P = 1e-3, 53, 7
+    assert _RNG_BLOCK // 100 > 1 and P % (_RNG_BLOCK // 100)
+    fed = []
+
+    def hold(F, a, L, dW, h):
+        fed.append(dW.copy())
+        zero = np.zeros(dW.shape[1])
+        return a, L, zero, zero, zero.astype(int)
+
+    monkeypatch.setattr(localize, "_advance", hold)
+    run_paths(F, T=n_steps * h, h=h, seed=seed, n_paths=P)
+    fed = np.array(fed)
+    assert fed.shape == (n_steps, F.n, P)
     for i in range(P):
         assert np.array_equal(fed[..., i], increments(seed, i, h, F.n, n_steps))
 

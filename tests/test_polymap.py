@@ -456,6 +456,14 @@ def test_jacobi_eigh_matches_lapack(d, P, kind):
     assert np.abs(np.conj(np.swapaxes(V, -1, -2)) @ V - np.eye(d)).max() <= 1e-14
 
 
+def test_jacobi_eigh_of_a_scalar_stack_is_its_real_part():
+    A = np.array([[[2.5 + 1e-3j, -0.0, 1e-310, np.pi - 7j]]])
+    lam, V = linalg._jacobi_eigh(A.copy())
+    assert lam.shape == (1, 4) and V.shape == (1, 1, 4) and V.dtype == complex
+    assert np.array_equal(lam, A[0].real)
+    assert np.all(V == 1)
+
+
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (5, 3)])
 def test_householder_qr_matches_lapack(n, k):
     rng = np.random.default_rng(10 * n + k)
@@ -472,6 +480,70 @@ def test_householder_qr_matches_lapack(n, k):
     assert np.allclose(diag, np.abs(np.diagonal(R_ref, axis1=-2, axis2=-1)), rtol=0, atol=1e-12)
     # the zero column, and only it, fails the rank test
     assert np.array_equal(diag.min(axis=1) < RANK_TOL, np.arange(40) == 7)
+
+
+def householder_qr_through_products(A):
+    """_householder_qr with the first reflector, like every later one,
+    applied to Q = I through _mm: the reference for the kernel, which
+    forms Q from the first reflector directly."""
+    n, k = A.shape[:2]
+    R = np.array(A, dtype=complex)
+    Q = np.zeros((n, n) + A.shape[2:], dtype=complex)
+    for ell in range(n):
+        Q[ell, ell] = 1
+    for i in range(k):
+        x = R[i:, i]
+        lead = np.abs(x[0])
+        norm = lead
+        for row in x[1:]:
+            norm = np.hypot(norm, np.abs(row))
+        nonzero = norm > 0
+        scale = np.where(nonzero, norm + lead, 1.0)
+        phase = np.where(lead > 0, x[0] / np.where(lead > 0, lead, 1.0), 1.0)
+        v = x * (1 / scale)
+        v[0] = phase
+        tau = np.where(nonzero, scale / np.where(nonzero, norm, 1.0), 0.0)
+        vc = np.conj(v)
+        R[i:, i + 1:] -= v[:, None] * (tau * linalg._mm(vc[None], R[i:, i + 1:]))
+        R[i, i] = -phase * norm
+        R[i + 1:, i] = 0
+        Q[:, i:] -= (tau * linalg._mm(Q[:, i:], v))[:, None] * vc[None]
+    return Q, R
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)])
+def test_householder_qr_forms_the_first_reflector_exactly(n, k):
+    rng = np.random.default_rng(50 + 10 * n + k)
+    A = rng.standard_normal((n, k, 40)) + 1j * rng.standard_normal((n, k, 40))
+    A[:, 0, 3] = 0          # a zero first column
+    A[:, k - 1, 5] = 0      # a zero last column
+    A[..., 6] = 0           # a zero matrix
+    A[1:, 0, 7] = 0         # a first column along e_1
+    A[0, 0, 8] = 0          # a first column with no leading entry
+    A[..., 9] = A[..., 9].real
+    Q, R = linalg._householder_qr(A.copy())
+    Q_ref, R_ref = householder_qr_through_products(A.copy())
+    assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
+
+
+@pytest.mark.parametrize("make", [hyperbola_map, quintic_map, random_cubic_map],
+                         ids=["hyperbola", "quintic", "random_cubic"])
+def test_a_non_finite_jacobian_keeps_its_newton_step(make, monkeypatch):
+    # rows whose Jacobian holds inf or nan get the outcome they got with
+    # the first reflector applied through _mm: |t| = inf
+    F = make()
+    rng = np.random.default_rng(35)
+    w = rng.standard_normal((6, F.n)) + 1j * rng.standard_normal((6, F.n))
+    w[0, 0], w[1, 0], w[2], w[3, -1] = np.inf, np.nan, 1e120, complex(np.inf, np.nan)
+    g = rng.standard_normal((6, F.n)) + 0j
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(eval_jacobian(F, w)[[0, 1, 3]]).all(axis=(1, 2)).any()
+        out = polymap._newton_step(F, w, g)
+        monkeypatch.setattr(polymap, "_householder_qr", householder_qr_through_products)
+        ref = polymap._newton_step(F, w, g)
+    assert np.all(np.isinf(out[0][[0, 1, 3]]))
+    for got, want in zip(out, ref):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_newton_step_matches_a_lapack_qr_reference(monkeypatch):
