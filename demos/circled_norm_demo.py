@@ -25,7 +25,7 @@ plane = PolynomialMap(2, 1, [[(1.0, [0, 1]), (-d, [0, 0])]], [0.0, d])
 r_grid = [0.5, 1.0]
 curved = estimate_tube_grid(hyperbola_map(), r_grid, 5000, seed=3, norm_weights=w)
 flat = estimate_tube_grid(plane, r_grid, 5000, seed=4, norm_weights=w)
-for r, ez, eh in zip(r_grid, curved, flat):
+for r, ez, eh in zip(r_grid, curved.rows, flat.rows):
     print(f"r={r}: curved tube {ez.p_hat:.4f} (+-{ez.stderr:.4f})  "
           f"hyperplane tube {eh.p_hat:.4f} (+-{eh.stderr:.4f})")
 

@@ -37,8 +37,8 @@ from .localize import (
 from .mc import (
     CenterLawResult,
     MixtureReport,
-    TubeEstimate,
-    WaistResult,
+    TubeResult,
+    TubeRow,
     center_law_sample,
     confidence_interval,
     estimate_tube_grid,

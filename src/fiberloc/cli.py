@@ -247,27 +247,23 @@ def cmd_tube(cfg, out: Path) -> int:
     F = _map_from_config(cfg)
     _require(cfg, "r_grid", "N", "seed")
     weights = cfg.get("weights")
-    if weights is not None:
-        ests = mc.estimate_tube_grid(F, cfg["r_grid"], cfg["N"], cfg["seed"],
-                                     norm_weights=weights)
-        rows = [{"r": e.r, "p_hat": e.p_hat, "stderr": e.stderr,
-                 "baseline": None, "margin": None, "verdict": "n/a"} for e in ests]
-        res, passed = ests[0], True
-        distance = bounds = residual = None
-    else:
+    if weights is None:
         res = mc.waist_check(F, cfg["r_grid"], cfg["N"], cfg["seed"],
                              distance=cfg.get("distance"))
-        rows = [dataclasses.asdict(w) for w in res.rows]
-        passed = res.passed
-        distance, bounds, residual = res.distance, res.distance_bounds, res.optimality_residual
+    elif "distance" in cfg:
+        raise ValidationError("weights and distance cannot be combined: a tube in "
+                              "the circled norm has no affine baseline")
+    else:
+        res = mc.estimate_tube_grid(F, cfg["r_grid"], cfg["N"], cfg["seed"],
+                                    norm_weights=weights)
     doc = {
         "experiment": "tube",
         "config_hash": config_hash(cfg),
         "seed": cfg["seed"],
-        "distance": distance,
-        "distance_bounds": bounds,
-        "optimality_residual": residual,
-        "rows": rows,
+        "distance": res.distance,
+        "distance_bounds": res.distance_bounds,
+        "optimality_residual": res.optimality_residual,
+        "rows": [dataclasses.asdict(row) for row in res.rows],
         "optimizer_failures": res.optimizer_failures,
         "unconverged": res.unconverged,
         "certified_misses": res.certified_misses,
@@ -275,12 +271,11 @@ def cmd_tube(cfg, out: Path) -> int:
     }
     _write_json(out / "tube_results.json", doc)
     plot = ["# r p_hat stderr baseline"]
-    for row in rows:
-        base = row["baseline"] if row["baseline"] is not None else float("nan")
-        plot.append(f"{row['r']:.17g} {row['p_hat']:.17g} "
-                    f"{row['stderr']:.17g} {base:.17g}")
+    for row in res.rows:
+        base = row.baseline if row.baseline is not None else float("nan")
+        plot.append(f"{row.r:.17g} {row.p_hat:.17g} {row.stderr:.17g} {base:.17g}")
     (out / "tube_plot.dat").write_text("\n".join(plot) + "\n")
-    return EXIT_OK if passed else EXIT_VERDICT
+    return EXIT_OK if res.passed else EXIT_VERDICT
 
 
 def cmd_baseline(cfg, out: Path) -> int:

@@ -15,7 +15,7 @@ its distance reaches the least radius above that bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,20 +52,34 @@ def sample_std_complex(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
 # Tube estimation
 
 @dataclass(frozen=True)
-class TubeEstimate:
+class TubeRow:
+    """The estimate at one radius; baseline, margin and verdict from waist_check."""
+
     r: float
     p_hat: float
     stderr: float
-    wilson_hi: float
-    n_samples: int
-    n_hits: int
-    norm_tag: str
-    optimizer_failures: int = 0
-    unconverged: int = 0
-    # work the grid saved: they depend on the whole grid rather than on
-    # this radius, so they take no part in comparing estimates
-    certified_misses: int = field(default=0, compare=False)
-    decided_early: int = field(default=0, compare=False)
+    baseline: float | None = None
+    margin: float | None = None
+    verdict: str = "n/a"
+
+
+@dataclass(frozen=True)
+class TubeResult:
+    """The rows of one distance sample with its fiber_distances counts; the
+    distance, its bounds and its optimality residual from waist_check."""
+
+    rows: tuple
+    optimizer_failures: int
+    unconverged: int
+    certified_misses: int
+    decided_early: int
+    distance: float | None = None
+    distance_bounds: tuple | None = None
+    optimality_residual: float | None = None
+
+    @property
+    def passed(self) -> bool:
+        return all(row.verdict != "fail" for row in self.rows)
 
 
 def _start_offsets(seed: int, lo: int, m: int, n_starts: int, n: int) -> np.ndarray:
@@ -140,92 +154,72 @@ def fiber_distances(F: PolynomialMap, points: np.ndarray, seed: int,
     return dist, failures, unconverged, certified, early
 
 
-def estimate_tube_grid(F: PolynomialMap, r_grid, N: int, seed: int,
-                       norm_weights=None) -> tuple[TubeEstimate, ...]:
-    """Monte Carlo estimates of the Gaussian measure of the r-tube around
-    the zero set of F, one per radius of r_grid (in the given order), in
-    the Euclidean norm or the circled norm {|diag(w) z| <= 1}.
-
-    One sample of N distances serves every radius, so the estimates are
-    monotone in r by construction; the perturbed starts use the scale of
-    the largest radius. The circled case transplants everything to the
-    weighted coordinates u = diag(w) z, where the norm is Euclidean again.
-    """
+def _tube_sample(F: PolynomialMap, r_grid, N: int, seed: int, norm_weights=None):
+    """fiber_distances of N standard Gaussian samples, decided on r_grid. The
+    circled norm {|diag(w) z| <= 1} is Euclidean in the coordinates
+    u = diag(w) z, so the circled case moves F and the samples there."""
     if N < 1:
         raise ValidationError("sample count must be >= 1")
     if len(r_grid) == 0:
         raise ValidationError("empty radius grid")
+    if not np.all(np.isfinite(r_grid)):
+        raise ValidationError("radius must be finite")
     if min(r_grid) < 0:
         raise ValidationError("radius must be nonnegative")
-    rng = path_rng(seed, _TAG_SAMPLES)
-    samples = sample_std_complex(rng, N, F.n)
+    samples = sample_std_complex(path_rng(seed, _TAG_SAMPLES), N, F.n)
     if norm_weights is not None:
         w = np.asarray(norm_weights, dtype=float)
-        Fw = F.rescaled(w)
-        pts = samples * w[None, :]
-        tag = "circled(" + ",".join(f"{x:g}" for x in w) + ")"
-    else:
-        Fw, pts, tag = F, samples, "euclidean"
-    dist, failures, unconverged, certified, early = fiber_distances(
-        Fw, pts, seed, perturb_scale=max(max(r_grid), 1e-2), r_grid=r_grid)
-    estimates = []
-    for r in r_grid:
-        hits = int(np.sum(dist <= r))
-        p_hat, stderr, _, hi = confidence_interval(hits, N)
-        estimates.append(TubeEstimate(r=r, p_hat=p_hat, stderr=stderr, wilson_hi=hi,
-                                      n_samples=N, n_hits=hits, norm_tag=tag,
-                                      optimizer_failures=failures,
-                                      unconverged=unconverged,
-                                      certified_misses=certified, decided_early=early))
-    return tuple(estimates)
+        F, samples = F.rescaled(w), samples * w[None, :]
+    dist, *counts = fiber_distances(F, samples, seed, perturb_scale=max(max(r_grid), 1e-2),
+                                    r_grid=r_grid)
+    return dist, counts
+
+
+def _tube_row(dist: np.ndarray, r: float, baseline: float | None = None) -> TubeRow:
+    """The estimate at radius r from the distance sample dist, and, given a
+    baseline, its margin and Wilson verdict (see waist_check)."""
+    p_hat, stderr, _, hi = confidence_interval(int(np.sum(dist <= r)), dist.size)
+    if baseline is None:
+        return TubeRow(r, p_hat, stderr)
+    return TubeRow(r, p_hat, stderr, baseline, p_hat - baseline,
+                   "pass" if hi >= baseline else "fail")
+
+
+def estimate_tube_grid(F: PolynomialMap, r_grid, N: int, seed: int,
+                       norm_weights=None) -> TubeResult:
+    """Monte Carlo estimates of the Gaussian measure of the r-tube around
+    the zero set of F, one row per radius of r_grid (in the given order),
+    in the Euclidean norm or the circled norm {|diag(w) z| <= 1}. One
+    sample of N distances serves every radius, so p_hat is monotone in r.
+    """
+    dist, counts = _tube_sample(F, r_grid, N, seed, norm_weights)
+    return TubeResult(tuple(_tube_row(dist, r) for r in r_grid), *counts)
 
 
 def estimate_tube_measure(F: PolynomialMap, r: float, N: int, seed: int,
-                          norm_weights=None) -> TubeEstimate:
+                          norm_weights=None) -> TubeRow:
     """The one-radius case of estimate_tube_grid."""
-    return estimate_tube_grid(F, [r], N, seed, norm_weights=norm_weights)[0]
-
-
-@dataclass(frozen=True)
-class WaistRow:
-    r: float
-    p_hat: float
-    stderr: float
-    baseline: float
-    margin: float
-    verdict: str
-
-
-@dataclass(frozen=True)
-class WaistResult:
-    rows: tuple
-    passed: bool
-    distance: float
-    optimizer_failures: int
-    unconverged: int
-    certified_misses: int
-    decided_early: int
-    distance_bounds: tuple | None = None
-    optimality_residual: float | None = None
+    return estimate_tube_grid(F, [r], N, seed, norm_weights=norm_weights).rows[0]
 
 
 def waist_check(F: PolynomialMap, r_grid, N: int, seed: int,
-                distance: float | None = None) -> WaistResult:
+                distance: float | None = None) -> TubeResult:
     """Compare the estimated tube measure of the zero set against the
     affine-subspace baseline at the same distance from the origin.
 
-    The estimates come from estimate_tube_grid, so they share one distance
-    sample and are monotone in r. A radius fails only when the upper end
-    of the WILSON_Z-sigma Wilson interval of p_hat is below the baseline,
-    which also decides the radii with no hit or no miss, where the normal
-    stderr is 0. Without a given distance, distance is the minimizer's
-    upper bound d_hat on dist(0, Z) and the baselines are evaluated at the
+    The rows share one distance sample, as in estimate_tube_grid, and come
+    in increasing r. A radius fails only when the upper end of the
+    WILSON_Z-sigma Wilson interval of p_hat is below the baseline, which
+    also decides the radii with no hit or no miss, where the normal stderr
+    is 0. Without a given distance, distance is the minimizer's upper
+    bound d_hat on dist(0, Z) and the baselines are evaluated at the
     certified lower bound d_lo (polymap.fiber_lower_bound at 0): the
     baseline falls as d grows, so only a lower bound cannot make a pass
     easier. distance_bounds is then (d_lo, d_hat) and optimality_residual
     the minimizer's tangential gradient norm at d_hat's point.
     """
-    estimates = estimate_tube_grid(F, sorted(float(r) for r in r_grid), N, seed)
+    grid = sorted(float(r) for r in r_grid)
+    dist, counts = _tube_sample(F, grid, N, seed)
     bounds = residual = None
     d = distance
     if distance is None:
@@ -233,19 +227,8 @@ def waist_check(F: PolynomialMap, r_grid, N: int, seed: int,
         distance, residual = found.value, found.optimality_residual
         d = polymap.fiber_lower_bound(F, np.zeros(F.n))
         bounds = (d, distance)
-    rows = []
-    for est in estimates:
-        baseline = affine_tube_measure(F.n, F.k, d, est.r)
-        rows.append(WaistRow(r=est.r, p_hat=est.p_hat, stderr=est.stderr,
-                             baseline=baseline, margin=est.p_hat - baseline,
-                             verdict="pass" if est.wilson_hi >= baseline else "fail"))
-    first = estimates[0]
-    return WaistResult(rows=tuple(rows), passed=all(r.verdict == "pass" for r in rows),
-                       distance=distance, optimizer_failures=first.optimizer_failures,
-                       unconverged=first.unconverged,
-                       certified_misses=first.certified_misses,
-                       decided_early=first.decided_early,
-                       distance_bounds=bounds, optimality_residual=residual)
+    rows = tuple(_tube_row(dist, r, affine_tube_measure(F.n, F.k, d, r)) for r in grid)
+    return TubeResult(rows, *counts, distance, bounds, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,15 @@ AFFINE = {
 }
 
 
+# f = z_1 - 1.5, polymap.affine_map(2, offset=1.5)
+AFFINE_OFFSET = {
+    "n": 2, "k": 1,
+    "components": [[{"coeff": [1.0, 0.0], "exps": [1, 0]},
+                    {"coeff": [-1.5, 0.0], "exps": [0, 0]}]],
+    "base_point": [[1.5, 0.0], [0.0, 0.0]],
+}
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -300,7 +309,7 @@ def test_tube_results_count_the_decided_samples(tmp_path):
                          "--out", str(tmp_path / name)]) == 0
         doc = json.loads((tmp_path / name / "tube_results.json").read_text())
         est = mc.estimate_tube_grid(hyperbola_map(), c["r_grid"], 500, 3,
-                                    norm_weights=c.get("weights"))[0]
+                                    norm_weights=c.get("weights"))
         assert (doc["certified_misses"], doc["decided_early"]) \
             == (est.certified_misses, est.decided_early)
         assert doc["certified_misses"] + doc["decided_early"] > 0
@@ -320,6 +329,28 @@ def test_tube_circled_norm_rows(tmp_path):
     doc = json.loads((tmp_path / "w" / "tube_results.json").read_text())
     assert doc["rows"][0]["baseline"] is None
     assert doc["rows"][0]["verdict"] == "n/a"
+
+
+def test_tube_below_the_baseline_exits_3(tmp_path):
+    # {z_1 = 1.5} against the baseline at distance 0, as in test_mc
+    cfg = {"map": AFFINE_OFFSET, "seed": 3, "r_grid": [1.0, 2.0], "N": 2000,
+           "distance": 0.0}
+    rc = cli.main(["tube", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "f")])
+    assert rc == 3
+    doc = json.loads((tmp_path / "f" / "tube_results.json").read_text())
+    assert [row["verdict"] for row in doc["rows"]] == ["fail", "fail"]
+
+
+def test_tube_with_weights_and_distance_exits_1(tmp_path, capsys):
+    # the circled norm has no baseline, so a distance would go unused
+    cfg = {"map": HYPERBOLA, "seed": 3, "r_grid": [0.8], "N": 50,
+           "weights": [1.0, 2.0], "distance": 1.5}
+    rc = cli.main(["tube", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "wd")])
+    assert rc == 1
+    assert read_stderr_payload(capsys)["error"] == "ValidationError"
+    assert not (tmp_path / "wd" / "tube_results.json").exists()
 
 
 @pytest.mark.parametrize("weights", [None, [1.0, 2.0]])

@@ -58,15 +58,15 @@ def test_confidence_interval_rejects_bad_counts():
 def test_tube_estimate_zero_radius():
     est = estimate_tube_measure(hyperbola_map(), r=0.0, N=500, seed=0)
     assert est.p_hat == 0.0
-    assert est.norm_tag == "euclidean"
 
 
 def test_tube_estimate_affine_matches_closed_form():
     # the r-tube of {z_1 = 0.5} has measure disc_measure(1, 0.5, r)
     F = affine_map(2, offset=0.5)
-    est = estimate_tube_measure(F, r=1.0, N=20000, seed=3)
+    out = estimate_tube_grid(F, [1.0], N=20000, seed=3)
+    est, = out.rows
     ref = disc_measure(1, 0.5, 1.0)
-    assert est.optimizer_failures == 0
+    assert out.optimizer_failures == 0
     assert abs(est.p_hat - ref) <= 3 * max(est.stderr, 1e-3)
 
 
@@ -167,7 +167,6 @@ def test_tube_estimate_circled_norm_affine_oracle():
     F = affine_map(2, offset=0.5)
     est = estimate_tube_measure(F, r=1.0, N=20000, seed=5, norm_weights=[2.0, 1.0])
     ref = disc_measure(1, 0.5, 0.5)
-    assert est.norm_tag.startswith("circled")
     assert abs(est.p_hat - ref) <= 3 * max(est.stderr, 1e-3)
 
 
@@ -176,7 +175,7 @@ def test_tube_grid_shares_one_distance_sample():
     # largest radius (whose perturbation scale the grid uses) matches the
     # one-radius estimate exactly
     F = hyperbola_map()
-    grid = estimate_tube_grid(F, [0.5, 1.0], N=1500, seed=14, norm_weights=[1.0, 2.0])
+    grid = estimate_tube_grid(F, [0.5, 1.0], N=1500, seed=14, norm_weights=[1.0, 2.0]).rows
     assert [e.r for e in grid] == [0.5, 1.0]
     assert grid[0].p_hat <= grid[1].p_hat
     assert grid[1] == estimate_tube_measure(F, r=1.0, N=1500, seed=14,
@@ -194,6 +193,13 @@ def test_tube_estimate_rejects_bad_args():
             estimate_tube_grid(F, [], N=100, seed=0, norm_weights=weights)
         with pytest.raises(ValidationError):
             estimate_tube_grid(F, [0.5, -1.0], N=100, seed=0, norm_weights=weights)
+        # a NaN radius counted no hit, and an infinite one made the
+        # perturbation scale infinite
+        for r in (np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                estimate_tube_grid(F, [0.5, r], N=100, seed=0, norm_weights=weights)
+    with pytest.raises(ValidationError):
+        waist_check(F, [np.nan], N=100, seed=0, distance=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +259,22 @@ def test_waist_passes_a_radius_with_no_hit(F, r, distance):
     row, = out.rows
     assert row.p_hat == 0.0 and row.stderr == 0.0 and 0 < row.baseline < 1e-3
     assert row.verdict == "pass" and out.passed
+
+
+def test_waist_fails_below_the_baseline_on_the_sample_of_the_grid():
+    # the zero set {z_1 = 1.5} compared against a baseline at distance 0:
+    # the baseline is too high, so both rows fail, and the result with them
+    F = affine_map(2, offset=1.5)
+    out = waist_check(F, [1.0, 2.0], N=2000, seed=3, distance=0.0)
+    assert [row.verdict for row in out.rows] == ["fail", "fail"] and not out.passed
+    assert out.rows[0].p_hat == 0.1565
+    assert out.rows[0].baseline == pytest.approx(1 - np.exp(-0.5), rel=1e-12)
+    # waist_check estimates on the sample of estimate_tube_grid
+    est = estimate_tube_grid(F, [1.0, 2.0], N=2000, seed=3)
+    assert [(w.r, w.p_hat, w.stderr) for w in out.rows] \
+        == [(e.r, e.p_hat, e.stderr) for e in est.rows]
+    counts = ("optimizer_failures", "unconverged", "certified_misses", "decided_early")
+    assert [getattr(out, c) for c in counts] == [getattr(est, c) for c in counts]
 
 
 def test_waist_baselines_use_the_certified_distance():
