@@ -1,16 +1,18 @@
 """Holomorphic polynomial maps C^n -> C^k and their zero sets.
 
 A map is stored as one monomial table (exponent rows, a coefficient column
-per component); f, its exact Jacobian, its second derivatives and its
-Taylor coefficients are plans over that table, the last two built on first
-use. The zero set is traversed with Gauss-Newton projection; all point-wise
-operations accept either a single point (n,) or a stack (P, n).
+per component); f, its exact Jacobian, the Jacobian with the second
+derivatives, and all Taylor coefficients are plans of Taylor coefficients
+of that table from one builder, the last two built on first use. The zero
+set is traversed with Gauss-Newton projection; all point-wise operations
+accept either a single point (n,) or a stack (P, n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -21,46 +23,25 @@ FIBER_TOL = 1e-10
 RANK_TOL = 1e-8
 
 
-def _derivative_table(exps: np.ndarray, coeffs: np.ndarray):
-    """The monomial table of the partial derivatives of a table's columns.
-
-    Each monomial holding z_l gives one row: that exponent lowered by one,
-    its coefficients times the old exponent in the columns (c, l). A table
-    with C columns gives one with C * n.
-    """
-    n = exps.shape[1]
-    held = exps > 0
-    d_exps = (exps[:, None, :] - np.eye(n, dtype=np.int64))[held]
-    d_coeffs = np.einsum("mc,ml,lq->mlcq", coeffs, exps, np.eye(n))[held]
-    return d_exps, d_coeffs.reshape(len(d_exps), coeffs.shape[1] * n)
-
-
-def _taylor_table(exps: np.ndarray, coeffs: np.ndarray):
-    """The monomial table of the Taylor coefficients of a table's columns.
+def _taylor_plan(exps: np.ndarray, coeffs: np.ndarray, targets: np.ndarray, mult=None):
+    """The evaluation plan of the Taylor coefficients a_b of a table's
+    columns, one per target b, each times its entry of mult (default 1).
 
     At z = x + u, c z^m is the sum over b <= m of c prod_i binom(m_i, b_i)
-    x^(m - b) u^b: one row of exponent m - b per pair (m, b), its
-    coefficients in the columns (b, c). The b run over every exponent that
-    some monomial holds, by degree, so b = 0 comes first. Returns the b
-    (B, n) and the table, whose rows are distinct.
-    """
-    terms = [(b, m, c) for m, c in zip(exps, coeffs) for b in np.ndindex(*(m + 1))]
-    betas = sorted({b for b, _, _ in terms}, key=lambda b: (sum(b), b))
-    col = {b: i for i, b in enumerate(betas)}
-    rows: dict = {}
-    for b, m, c in terms:
-        e = tuple(int(x) for x in m - np.array(b))
-        row = rows.setdefault(e, np.zeros((len(betas), coeffs.shape[1]), dtype=complex))
-        row[col[b]] += c * prod(comb(int(mi), bi) for mi, bi in zip(m, b))
-    return (np.array(betas, dtype=np.int64), np.array(list(rows), dtype=np.int64),
-            np.array([r.ravel() for r in rows.values()]))
-
-
-def _plan(exps: np.ndarray, coeffs: np.ndarray):
-    """An evaluation plan of a table: per variable l, each monomial's row
-    d * n + l in the power table, and the coefficients."""
-    n = exps.shape[1]
-    return np.ascontiguousarray((exps * n + np.arange(n)).T), coeffs
+    x^(m - b) u^b: each pair (m, b) with b <= m gives one row of exponent
+    m - b, in (m, b) order and unmerged, its coefficients in the columns
+    (c, b). The plan holds, per variable l, each row's index d * n + l in
+    the power table (_eval_plan), and the coefficients."""
+    n, C, T = exps.shape[1], coeffs.shape[1], len(targets)
+    mult = np.ones(T) if mult is None else mult
+    m, t = np.nonzero((targets[None] <= exps[:, None]).all(axis=2))
+    pascal = np.array([[comb(a, b) for b in range(targets.max(initial=0) + 1)]
+                       for a in range(exps.max(initial=0) + 1)], dtype=float)
+    scale = np.prod(pascal[exps[m], targets[t]], axis=1) * mult[t]
+    vals = np.zeros((m.size, C, T), dtype=complex)
+    vals[np.arange(m.size), :, t] = coeffs[m] * scale[:, None]
+    idx = (exps[m] - targets[t]) * n + np.arange(n)
+    return np.ascontiguousarray(idx.T), vals.reshape(m.size, C * T)
 
 
 def _as_points(z: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
@@ -102,13 +83,10 @@ class PolynomialMap:
         self._coeffs = np.array(list(rows.values()), dtype=complex).reshape(-1, k)
         # the power table always holds the first power, even where f is constant
         self._deg = max(1, int(self._exps.max(initial=0)))
-        # Df is the derivative table of f's, columns (j, l) for d f_j / dz_l.
-        # The second derivatives, that of Df's, are derived on first use
-        # (eval_hessian): only the closest-point solver needs them.
-        self._df_table = _derivative_table(self._exps, self._coeffs)
-        self._f_plan = _plan(self._exps, self._coeffs)
-        self._df_plan = _plan(*self._df_table)
-        self._d2f_plan = None
+        # f is the Taylor coefficient of 0, Df those of the e_l, columns
+        # (j, l) for d f_j / dz_l
+        self._f_plan = _taylor_plan(self._exps, self._coeffs, np.zeros((1, n), dtype=np.int64))
+        self._df_plan = _taylor_plan(self._exps, self._coeffs, np.eye(n, dtype=np.int64))
 
         self.base_point = np.asarray(base_point, dtype=complex).reshape(n)
         res = float(np.linalg.norm(eval_map(self, self.base_point)))
@@ -121,9 +99,27 @@ class PolynomialMap:
                 f"Jacobian at base_point is rank-deficient (sigma_min={smin:.3e})"
             )
 
-    # (plan, degree and sphere weight of each Taylor exponent), built on
-    # first use by fiber_lower_bound
-    _taylor = None
+    @cached_property
+    def _d2f_plan(self):
+        """Df, then the second derivatives, columns (j, l, m) for d^2 f_j /
+        dz_l dz_m: the Taylor coefficients of the e_l and of the e_l + e_m,
+        times 2 where l = m. Built on first use, by the closest-point solver."""
+        eye = np.eye(self.n, dtype=np.int64)
+        targets = np.vstack([eye, (eye[:, None] + eye).reshape(-1, self.n)])
+        return _taylor_plan(self._exps, self._coeffs, targets,
+                            np.concatenate([np.ones(self.n), 1 + eye.ravel()]))
+
+    @cached_property
+    def _taylor(self):
+        """The plan of all Taylor coefficients, one target b per exponent some
+        monomial holds, by degree (b = 0 first), the degree of each b and the
+        maximum of |u^b| on the unit sphere; built on first use."""
+        betas = sorted({b for m in self._exps for b in np.ndindex(*(m + 1))},
+                       key=lambda b: (sum(b), b))
+        betas = np.array(betas, dtype=np.int64)
+        deg = betas.sum(axis=1)
+        weight = np.prod((betas / np.maximum(deg, 1)[:, None]) ** (betas / 2), axis=1)
+        return _taylor_plan(self._exps, self._coeffs, betas), deg, weight
 
     @classmethod
     def from_json(cls, obj: dict) -> "PolynomialMap":
@@ -194,15 +190,6 @@ def eval_jacobian(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-1] + (F.k, F.n))
 
 
-def eval_hessian(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
-    """Exact second derivatives (d^2 f_j / dz_l dz_m) at z; shape (k, n, n)
-    or (P, k, n, n); columns (j, l, m) of the derivative table of Df."""
-    if F._d2f_plan is None:
-        F._d2f_plan = _plan(*_derivative_table(*F._df_table))
-    out = _eval_plan(F, z, F._d2f_plan)
-    return out.reshape(out.shape[:-1] + (F.k, F.n, F.n))
-
-
 # fiber_lower_bound shrinks its bound by this relative margin. Where the
 # bound is near a positive radius, t = |f_j(x)| - FIBER_TOL is of the order
 # of that radius times the Taylor bounds, so the rounding of the computed
@@ -213,6 +200,9 @@ def eval_hessian(F: PolynomialMap, z: np.ndarray) -> np.ndarray:
 # leaves the root within 2^-_BISECTIONS of its bracket, far inside the margin.
 _BOUND_MARGIN = 1e-9
 _BISECTIONS = 40
+# fiber_lower_bound takes the points in blocks of at most this many plan
+# rows times points; every point is evaluated alone, so no bit depends on it.
+_TAYLOR_ENTRIES = 2**18
 
 
 def fiber_lower_bound(F: PolynomialMap, z: np.ndarray):
@@ -222,7 +212,7 @@ def fiber_lower_bound(F: PolynomialMap, z: np.ndarray):
     At z + u each component is f_j(z) + sum_d P_d(u), P_d homogeneous of
     degree d with |P_d(u)| <= B_d |u|^d: B_1 = |grad f_j(z)| and, for
     d >= 2, B_d = sum over |b| = d of |a_b| prod_i (b_i / d)^(b_i / 2),
-    the a_b being the Taylor coefficients (_taylor_table) and each product
+    the a_b being the Taylor coefficients (F._taylor) and each product
     the maximum of |u^b| on the unit sphere. So |f_j(z + u)| > FIBER_TOL
     wherever sum_d B_d |u|^d < t = |f_j(z)| - FIBER_TOL. rho_j is the lower
     end of a bisection for the root of sum_d B_d rho^d = t, bracketed by
@@ -230,13 +220,12 @@ def fiber_lower_bound(F: PolynomialMap, z: np.ndarray):
     finite. The bound is max_j rho_j shrunk by _BOUND_MARGIN.
     """
     pts, single = _as_points(z, F.n)
-    if F._taylor is None:
-        betas, exps, coeffs = _taylor_table(F._exps, F._coeffs)
-        deg = betas.sum(axis=1)
-        weight = np.prod((betas / np.maximum(deg, 1)[:, None]) ** (betas / 2), axis=1)
-        F._taylor = (_plan(exps, coeffs), deg, weight)
     plan, deg, weight = F._taylor
-    a = np.abs(_eval_plan(F, pts, plan)).reshape(pts.shape[0], deg.size, F.k)
+    size = max(1, _TAYLOR_ENTRIES // plan[0].shape[1])
+    if pts.shape[0] > size:
+        return np.concatenate([fiber_lower_bound(F, pts[s:s + size])
+                               for s in range(0, pts.shape[0], size)])
+    a = np.abs(_eval_plan(F, pts, plan)).reshape(pts.shape[0], F.k, deg.size).swapaxes(1, 2)
     t = a[:, 0] - FIBER_TOL
     B = [np.sqrt(np.sum(a[:, deg == 1] ** 2, axis=1))]
     B += [np.sum(a[:, deg == d] * weight[deg == d, None], axis=1)
@@ -373,7 +362,9 @@ def _newton_step(F: PolynomialMap, w: np.ndarray, g: np.ndarray):
     """
     P, n, k = w.shape[0], F.n, F.k
     gt = g.T
-    Q, R = _householder_qr(np.conj(eval_jacobian(F, w).transpose(2, 1, 0), order="C"))
+    # Df (n, k, P), then the second derivatives (n * n, k, P), from one plan
+    d2f = _eval_plan(F, w, F._d2f_plan).reshape(P, k, n + n * n).transpose(2, 1, 0)
+    Q, R = _householder_qr(np.conj(d2f[:n], order="C"))
     c = _mm(np.conj(Q).swapaxes(0, 1), gt)
     diag = np.diagonal(R[:k]).T
     regular = np.abs(diag).min(axis=0) >= RANK_TOL
@@ -381,8 +372,7 @@ def _newton_step(F: PolynomialMap, w: np.ndarray, g: np.ndarray):
     mu = np.zeros((k, P), dtype=complex)
     for i in reversed(range(k)):
         mu[i] = (c[i] - _mm(R[i:i + 1, i + 1:k], mu[i + 1:])[0]) / diag[i]
-    hess = eval_hessian(F, w).reshape(P, k, n * n).transpose(2, 1, 0)
-    H = _mm(hess, np.conj(mu)).reshape(n, n, P)
+    H = _mm(d2f[n:], np.conj(mu)).reshape(n, n, P)
     N = Q[:, k:]
     S = _mm(N.swapaxes(0, 1), _mm(H, N))
     S[..., ~np.isfinite(S).all(axis=(0, 1))] = 0

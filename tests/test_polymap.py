@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,11 @@ from fiberloc import (
     hyperbola_map,
     paraboloid_map,
 )
-from fiberloc import linalg, polymap
+from fiberloc import linalg, mc, polymap
 from fiberloc.polymap import (
     FIBER_TOL,
     KKT_TOL,
     RANK_TOL,
-    eval_hessian,
     fiber_lower_bound,
     minimize_fiber_distance,
     project_batch,
@@ -46,6 +47,19 @@ def random_cubic_components(seed=0):
 
 def random_cubic_map(seed=0):
     return PolynomialMap(3, 2, *random_cubic_components(seed))
+
+
+def derivatives(F, z):
+    """J and H at z from the map's one plan of Df and the second derivatives:
+    (k, n) and (k, n, n) for a single point, (P, k, n) and (P, k, n, n)
+    stacked."""
+    out = polymap._eval_plan(F, z, F._d2f_plan)
+    out = out.reshape(out.shape[:-1] + (F.k, F.n + F.n * F.n))
+    return out[..., :F.n], out[..., F.n:].reshape(out.shape[:-1] + (F.n, F.n))
+
+
+def hessian(F, z):
+    return derivatives(F, z)[1]
 
 
 def monomial_sum(comp, z):
@@ -135,7 +149,7 @@ def test_hessian_matches_finite_differences():
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     h = 1e-6
     for F in (random_cubic_map(), quintic_map()):
-        H = eval_hessian(F, z)
+        H = hessian(F, z)
         assert H.shape == (2, 3, 3)
         assert np.allclose(H, np.swapaxes(H, -1, -2), rtol=1e-13, atol=1e-13)
         for m in range(3):
@@ -143,8 +157,8 @@ def test_hessian_matches_finite_differences():
             e[m] = h
             fd = (eval_jacobian(F, z + e) - eval_jacobian(F, z - e)) / (2 * h)
             assert np.allclose(H[:, :, m], fd, atol=1e-6, rtol=1e-6)
-        stacked = eval_hessian(F, np.stack([z, 2 * z]))
-        assert np.allclose(stacked[0], H) and np.allclose(stacked[1], eval_hessian(F, 2 * z))
+        stacked = hessian(F, np.stack([z, 2 * z]))
+        assert np.allclose(stacked[0], H) and np.allclose(stacked[1], hessian(F, 2 * z))
 
 
 def test_residual_norm_shapes():
@@ -266,28 +280,52 @@ def test_distance_point_zero_set():
 
 def test_hessian_plan_is_built_on_first_use():
     F = random_cubic_map()
-    assert F._d2f_plan is None and F.rescaled(np.ones(3))._d2f_plan is None
+    assert "_d2f_plan" not in vars(F) and "_d2f_plan" not in vars(F.rescaled(np.ones(3)))
     z = np.array([0.3 + 0.1j, -0.7j, 1.2])
-    H = eval_hessian(F, z)
-    assert F._d2f_plan is not None
-    assert np.array_equal(eval_hessian(F, z), H)
+    H = hessian(F, z)
+    assert "_d2f_plan" in vars(F)
+    assert np.array_equal(hessian(F, z), H)
+
+
+@pytest.mark.parametrize("make, jac, hess", [
+    (hyperbola_map, lambda z: [z[1], z[0]], [[0, 1], [1, 0]]),
+    (lambda: paraboloid_map(3), lambda z: [-2 * z[0], -2 * z[1], 1], np.diag([-2, -2, 0])),
+    # no monomial holds z_2 or z_3: their columns are zero
+    (lambda: affine_map(3), lambda z: [1, 0, 0], np.zeros((3, 3))),
+], ids=["hyperbola", "paraboloid3", "affine3"])
+def test_derivatives_take_their_closed_forms(make, jac, hess):
+    F = make()
+    rng = np.random.default_rng(38)
+    z = rng.standard_normal((16, F.n)) + 1j * rng.standard_normal((16, F.n))
+    J_all, H_all = derivatives(F, z)
+    for i in range(16):
+        J = np.array([jac(z[i])], dtype=complex)
+        H = np.array([hess], dtype=complex)
+        assert np.array_equal(eval_jacobian(F, z[i]), J)
+        assert np.array_equal(eval_jacobian(F, z)[i], J)
+        assert np.array_equal(J_all[i], J) and np.array_equal(H_all[i], H)
+        J_one, H_one = derivatives(F, z[i])
+        assert np.array_equal(J_one, J) and np.array_equal(H_one, H)
 
 
 def test_taylor_coefficients_reproduce_the_map():
     # f(x + u) = sum_b a_b(x) u^b, term by term, with the plan built on
     # first use
     F = quintic_map()
-    assert F._taylor is None
+    assert "_taylor" not in vars(F) and "_taylor" not in vars(F.rescaled(np.ones(3)))
     rng = np.random.default_rng(31)
     x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     u = 0.7 * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
     fiber_lower_bound(F, x)
+    assert "_taylor" in vars(F)
     plan, deg, _ = F._taylor
-    betas = polymap._taylor_table(F._exps, F._coeffs)[0]
+    # every exponent some monomial holds, by degree
+    betas = np.array(sorted({b for m in F._exps for b in np.ndindex(*(m + 1))},
+                            key=lambda b: (sum(b), b)))
     assert np.array_equal(deg, betas.sum(axis=1)) and deg[0] == 0
-    a = polymap._eval_plan(F, x, plan).reshape(4, len(betas), F.k)
+    a = polymap._eval_plan(F, x, plan).reshape(4, F.k, len(betas))
     powers = np.prod(u[:, None, :] ** betas[None], axis=2)
-    assert np.allclose(np.sum(a * powers[:, :, None], axis=1), eval_map(F, x + u),
+    assert np.allclose(np.sum(a * powers[:, None, :], axis=2), eval_map(F, x + u),
                        rtol=1e-12, atol=1e-12)
 
 
@@ -308,6 +346,45 @@ def test_fiber_lower_bound_is_exact_where_the_bound_is_attained():
     with np.errstate(all="ignore"):
         assert fiber_lower_bound(F, np.array([np.nan, 1.0])) == 0.0
 
+
+@pytest.mark.parametrize("make", [hyperbola_map, quintic_map, codim2_map],
+                         ids=["hyperbola", "quintic", "codim2"])
+def test_fiber_lower_bound_does_not_depend_on_its_blocks(make, monkeypatch):
+    # every point's bound depends on that point alone, so blocks of one
+    # point and of three give the same bits as one block
+    F = make()
+    z = np.random.default_rng(39).standard_normal((50, F.n)) * (1 + 0.5j)
+    whole = fiber_lower_bound(F, z)
+    rows = F._taylor[0][0].shape[1]
+    assert polymap._TAYLOR_ENTRIES // rows >= z.shape[0]
+    for entries in (1, 3 * rows):
+        monkeypatch.setattr(polymap, "_TAYLOR_ENTRIES", entries)
+        assert np.array_equal(fiber_lower_bound(F, z), whole)
+
+
+@pytest.mark.parametrize("make", [hyperbola_map, paraboloid_map], ids=["hyperbola", "paraboloid"])
+def test_a_tube_chunk_takes_its_lower_bounds_in_one_block(make, monkeypatch):
+    # the benchmark maps evaluate a whole chunk of fiber_distances at once
+    F = make()
+    real, calls = polymap._eval_plan, []
+    monkeypatch.setattr(polymap, "_eval_plan", lambda *a: calls.append(1) or real(*a))
+    fiber_lower_bound(F, np.ones((mc._CHUNK, F.n)))
+    assert len(calls) == 1
+
+
+def test_fiber_lower_bound_memory_does_not_grow_with_the_stack():
+    # z_1^20 z_2^20 - 1 has 442 Taylor coefficients; one table of them for
+    # 5000 points at once held 70 MB
+    F = PolynomialMap(2, 1, [[(1.0, [20, 20]), (-1.0, [0, 0])]], [1.0, 1.0])
+    z = np.random.default_rng(40).standard_normal((5000, 2)) * (1 + 0.5j)
+    fiber_lower_bound(F, z[:2])
+    tracemalloc.start()
+    try:
+        fiber_lower_bound(F, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 def test_the_minimizer_stops_a_group_that_came_close_enough():
     # pair i is in group i % 100; a group stops once one of its pairs is
@@ -395,7 +472,7 @@ def test_a_point_evaluates_alone_as_in_a_stack():
     maps = (PolynomialMap(2, 1, [[(1.0, [1, 1])]], [1.0, 0.0]), hyperbola_map(), quintic_map())
     for F in maps:
         z = rng.standard_normal((64, F.n)) + 1j * rng.standard_normal((64, F.n))
-        for ev in (eval_map, eval_jacobian, eval_hessian):
+        for ev in (eval_map, eval_jacobian, hessian, fiber_lower_bound):
             stacked = ev(F, z)
             for i in range(64):
                 assert np.array_equal(ev(F, z[i]), stacked[i])
@@ -641,7 +718,7 @@ def test_json_lets_the_constructors_own_errors_through(monkeypatch):
     def broken(*args):
         raise IndexError("inside the constructor")
 
-    monkeypatch.setattr(polymap, "_plan", broken)
+    monkeypatch.setattr(polymap, "_taylor_plan", broken)
     with pytest.raises(IndexError, match="inside the constructor"):
         PolynomialMap.from_json(map_description(*random_cubic_components()))
 
