@@ -25,7 +25,6 @@ import numpy as np
 from . import gaussgeom, localize, mc, polymap
 from .errors import (
     DomainError,
-    PathAbort,
     ProjectionError,
     StateError,
     ValidationError,
@@ -460,7 +459,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, out)
     except (ValidationError, DomainError) as exc:
         return _fail(exc, EXIT_CONFIG)
-    except (ProjectionError, PathAbort, StateError) as exc:
+    except (ProjectionError, StateError) as exc:
         return _fail(exc, EXIT_NUMERICAL)
     except ValueError as exc:
         return _fail(exc, EXIT_CONFIG)

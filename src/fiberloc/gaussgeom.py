@@ -206,26 +206,24 @@ def gaussian_expectation(mu: ComplexGaussian, phi) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 # Tilt inequality oracle
 
-def _tilted_disc_mass(b: np.ndarray, v: np.ndarray, R: float,
-                      nodes: int) -> float:
+def _tilted_disc_mass(b: np.ndarray, v: np.ndarray, R: float, rule) -> float:
     """integral over {|z| <= R} of exp(Re(v^* z)) against the centered
-    Gaussian with diagonal precision b on C^k, by tensor-grid quadrature.
+    Gaussian with diagonal precision b on C^k, by Gauss-Legendre quadrature
+    in the moduli, with the rule (nodes, weights) on [-1, 1].
 
-    The first coordinate is integrated on a polar (radius x angle) grid;
-    for k = 2 the integrand at each of its moduli s is multiplied by the
-    integral over the second coordinate, on the disc of radius
-    sqrt(R^2 - s^2), so every integrand stays smooth.
+    The first coordinate is integrated in polar form: at modulus s the
+    angular average of exp(|v| s cos(theta)) is I_0(|v| s). For k = 2 the
+    integrand at each of its moduli s is multiplied by the integral over
+    the second coordinate, on the disc of radius sqrt(R^2 - s^2), so every
+    integrand stays smooth.
     """
-    x, wgt = np.polynomial.legendre.leggauss(nodes)
-    theta = 2 * np.pi * np.arange(nodes) / nodes
+    x, wgt = rule
     s = R * (x + 1) / 2
     ws = wgt * R / 2
-    # angular average of exp(|v| s cos(theta)) on the periodic grid
-    ang = np.exp(np.abs(v[0]) * s[:, None] * np.cos(theta)[None, :]).mean(axis=1)
-    integrand = b[0] * s * np.exp(-b[0] * s * s / 2) * ang
+    integrand = b[0] * s * np.exp(-b[0] * s * s / 2) * np.i0(np.abs(v[0]) * s)
     if len(b) == 2:
         integrand = integrand * np.array([
-            _tilted_disc_mass(b[1:], v[1:], math.sqrt(max(R * R - si * si, 0.0)), nodes)
+            _tilted_disc_mass(b[1:], v[1:], math.sqrt(max(R * R - si * si, 0.0)), rule)
             for si in s
         ])
     return float(np.sum(ws * integrand))
@@ -247,8 +245,8 @@ def tilt_inequality_check(B: np.ndarray, v: np.ndarray, R: float) -> TiltCheck:
             gamma_k(disc(v, R)) * integral e^{Re(v^* z)} dmu.
 
     Both the left side and the disc-measure factor are computed by
-    tensor-grid quadrature; the total tilted mass has the exact closed
-    form exp(v^* B^{-1} v / 2).
+    quadrature (_tilted_disc_mass); the total tilted mass has the exact
+    closed form exp(v^* B^{-1} v / 2).
     """
     B = check_hermitian(B)
     k = B.shape[0]
@@ -261,11 +259,11 @@ def tilt_inequality_check(B: np.ndarray, v: np.ndarray, R: float) -> TiltCheck:
     if w[0] < 1 - 1e-10:
         raise DomainError("precision matrix must dominate the identity")
     vt = U.conj().T @ v
-    nodes = 400 if k == 1 else 200
-    lhs = _tilted_disc_mass(w, vt, R, nodes)
+    rule = np.polynomial.legendre.leggauss(400 if k == 1 else 200)
+    lhs = _tilted_disc_mass(w, vt, R, rule)
     total = math.exp(float(np.sum(np.abs(vt) ** 2 / (2 * w))))
     gk = math.exp(-float(np.linalg.norm(v) ** 2) / 2) * _tilted_disc_mass(
-        np.ones(k), v, R, nodes)
+        np.ones(k), v, R, rule)
     rhs = gk * total
     return TiltCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs - TILT_TOL)
 

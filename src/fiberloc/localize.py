@@ -18,7 +18,8 @@ starting at Id. The B update is a change of rank k, so each step scales L
 and updates it by rank k (see _advance). The update never shrinks a pivot,
 so L stays the factor of a definite matrix whatever the rounding. Sigma is
 L (Id - Q Q^*) / sqrt(n), Q an orthonormal basis of the range of L^* J^*
-(see _sigma_pieces). B is derived only where it is reported, from L.
+(see _sigma_pieces). The state leaves the engine as L: the records and
+terminal_gaussian read B from the SVD of L, and B is formed only on read.
 
 One kernel (_advance) performs the projected Euler-Maruyama step for a
 stack of paths held P-last, as the linalg kernels hold them. The batched
@@ -99,8 +100,14 @@ class LocalizationState:
 
     t: float
     a: np.ndarray
-    B: np.ndarray
+    L: np.ndarray  # the lower Cholesky factor of B^{-1} = L L^*
     fiber_residual_max: float = 0.0
+
+    @property
+    def B(self) -> np.ndarray:
+        """B = L^{-*} L^{-1}, formed on read, to an absolute error of about eps e^{t/n}."""
+        Li = np.linalg.inv(self.L)
+        return np.conj(np.swapaxes(Li, -1, -2)) @ Li
 
 
 @dataclass(frozen=True)
@@ -127,19 +134,21 @@ def terminal_gaussian(state: LocalizationState, rank_tol: float = DEFAULT_RANK_T
                       k: int | None = None) -> ComplexGaussian:
     """The rank-truncated Gaussian N(a_t, 2 B_t^{-1}) of one path or a stack of them.
 
-    Covariance eigenvalues below rank_tol are zeroed; support_dim counts the
+    The covariance 2 L L^* is U diag(2 s^2) U^* for the SVD L = U diag(s) W^*,
+    s descending. Eigenvalues below rank_tol are zeroed; support_dim counts the
     survivors. When the codimension k of the fiber is supplied, the decay
     bound lambda_{n-k}(2 B_t^{-1}) <= 2 n (k+1) / t is asserted on every path.
     """
-    w, V = np.linalg.eigh(hermitianize(state.B))
+    U, s, _ = np.linalg.svd(state.L)
+    w = 2 * s * s
     n = w.shape[-1]
     if k is not None and 0 < k < n and state.t > 0:
         bound = 2 * n * (k + 1) / state.t
-        worst = np.max(2.0 / w[..., k])
+        worst = np.max(w[..., k])
         if worst > bound * (1 + 1e-9):
             raise StateError(f"covariance decay bound violated: {worst:.3e} > {bound:.3e}")
-    keep = 2.0 / w >= rank_tol
-    cov = (V * np.where(keep, 2.0 / w, 0.0)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+    keep = w >= rank_tol
+    cov = (U * np.where(keep, w, 0.0)[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
     dim = np.sum(keep, axis=-1)
     return ComplexGaussian(state.a.copy(), cov, dim if dim.ndim else int(dim))
 
@@ -256,7 +265,7 @@ class BatchResult:
 
     t: float
     a: np.ndarray                 # (P, n) terminal centers
-    B: np.ndarray                 # (P, n, n), L^{-*} L^{-1} from the carried factor L
+    L: np.ndarray                 # (P, n, n) lower Cholesky factors of B^{-1} = L L^*
     fiber_residual_max: np.ndarray  # (P,) max pre-projection residual
     aborted: np.ndarray           # (P,) bool
     abort_reasons: list
@@ -271,9 +280,14 @@ class BatchResult:
     def n_aborted(self) -> int:
         return int(np.sum(self.aborted))
 
+    @property
+    def B(self) -> np.ndarray:
+        """(P, n, n), formed on read: see LocalizationState.B."""
+        return self.state(slice(None)).B
+
     def state(self, i: int | np.ndarray) -> LocalizationState:
         return LocalizationState(
-            t=self.t, a=self.a[i], B=self.B[i],
+            t=self.t, a=self.a[i], L=self.L[i],
             fiber_residual_max=self.fiber_residual_max[i],
         )
 
@@ -354,9 +368,7 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
             rec[:, r] = last_pre, last_post, w[:, 0], w[:, min(k, n - 1)], np.sum(w, axis=1)
             r += 1
 
-    # B = L^{-*} L^{-1}
-    B = _gram(np.linalg.inv(L.transpose(2, 0, 1)).transpose(1, 2, 0))
-    return BatchResult(n_steps * h, a.T.copy(), B.transpose(2, 0, 1).copy(),
+    return BatchResult(n_steps * h, a.T.copy(), L.transpose(2, 0, 1).copy(),
                        res_max, aborted, reasons, rec_t, *rec)
 
 

@@ -113,13 +113,18 @@ class PolynomialMap:
     def _taylor(self):
         """The plan of all Taylor coefficients, one target b per exponent some
         monomial holds, by degree (b = 0 first), the degree of each b and the
-        maximum of |u^b| on the unit sphere; built on first use."""
+        maximum of |u^b| on the unit sphere; built on first use. Rows of one
+        exponent m - b are merged exactly: (c, b) is nonzero only in rows (m, b)."""
         betas = sorted({b for m in self._exps for b in np.ndindex(*(m + 1))},
                        key=lambda b: (sum(b), b))
         betas = np.array(betas, dtype=np.int64)
         deg = betas.sum(axis=1)
         weight = np.prod((betas / np.maximum(deg, 1)[:, None]) ** (betas / 2), axis=1)
-        return _taylor_plan(self._exps, self._coeffs, betas), deg, weight
+        idx, vals = _taylor_plan(self._exps, self._coeffs, betas)
+        idx, row = np.unique(idx, axis=1, return_inverse=True)
+        merged = np.zeros((idx.shape[1], vals.shape[1]), dtype=complex)
+        np.add.at(merged, row, vals)
+        return (np.ascontiguousarray(idx), merged), deg, weight
 
     @classmethod
     def from_json(cls, obj: dict) -> "PolynomialMap":
@@ -315,7 +320,6 @@ class DistanceResult:
     """Upper bound on the distance from the origin to the zero set."""
 
     value: float
-    argmin: np.ndarray
     optimality_residual: float
     n_starts_converged: int
 
@@ -489,13 +493,12 @@ def distance_to_origin(F: PolynomialMap, n_starts: int = 16,
     pert = rng.standard_normal((n_starts - 1, 2 * F.n))
     pert = pert[:, : F.n] + 1j * pert[:, F.n:]
     starts = np.vstack([F.base_point[None, :], F.base_point[None, :] + pert])
-    w, dist, ok, kkt = minimize_fiber_distance(F, np.zeros_like(starts), starts)
+    _, dist, ok, kkt = minimize_fiber_distance(F, np.zeros_like(starts), starts)
     if not np.any(ok):
         raise ProjectionError("no start could be projected onto the zero set")
     best = int(np.argmin(dist))
     return DistanceResult(
         value=float(dist[best]),
-        argmin=w[best],
         optimality_residual=float(kkt[best]),
         n_starts_converged=int(np.sum(ok)),
     )

@@ -425,6 +425,19 @@ def test_mixture_report(tmp_path):
     assert doc["rows"][0]["mixture_mean"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("m", [ROTATED_AFFINE, PARABOLOID], ids=["rotated_affine", "paraboloid"])
+def test_mixture_holds_at_a_long_horizon(tmp_path, m):
+    # at T = 80, B reaches e^40: read through B, the covariance's
+    # eigenvalue 2 was lost, and the check failed on an exact identity or
+    # wrote NaN
+    cfg = {"map": m, "seed": 7, "T": 80.0, "h": 0.05, "n_paths": 200}
+    rc = cli.main(["mixture", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+    text = (tmp_path / "mixture_report.json").read_text()
+    assert rc == 0
+    assert "NaN" not in text and json.loads(text)["valid"] is True
+
+
 def test_mixture_bounded_exp_past_the_exponent_range(tmp_path):
     # s ~ 40 on the first axis puts e^{m + s^2/2} past the float range
     cfg = {"map": PARABOLOID, "seed": 1, "T": 0.02, "h": 2e-3, "n_paths": 20,

@@ -1,7 +1,7 @@
 """Every module-level import in the package modules and the test files is
-used, the command line loads no SciPy, and the step kernels of the path
+used, the command line loads no SciPy, the step kernels of the path
 engine, the closest-point solver and the distance bound call no LAPACK
-wrapper."""
+wrapper, and the mixture pipeline forms no B."""
 
 import ast
 import os
@@ -84,8 +84,27 @@ def test_the_lapack_guard_sees_a_wrapper_and_a_product():
     assert sorted(lapack_calls(func)) == ["@ (line 2)", "inv (line 2)", "solve (line 2)"]
 
 
-@pytest.mark.parametrize("module, name", [(m, f) for m, fs in STEP_KERNELS.items() for f in fs])
-def test_step_kernels_call_no_lapack_wrapper(module, name):
+def function(module: str, name: str) -> ast.FunctionDef:
+    """The top-level function of a package module."""
     tree = ast.parse((ROOT / "src" / "fiberloc" / module).read_text())
     func, = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
-    assert lapack_calls(func) == []
+    return func
+
+
+@pytest.mark.parametrize("module, name", [(m, f) for m, fs in STEP_KERNELS.items() for f in fs])
+def test_step_kernels_call_no_lapack_wrapper(module, name):
+    assert lapack_calls(function(module, name)) == []
+
+
+# The path state leaves the engine as the factor L of B^{-1}, and the
+# terminal Gaussians come from its SVD: B formed by an inverse loses the
+# covariance's eigenvalues near 1 once B is large, so no pipeline from the
+# engine to the mixture check forms it or reads it
+@pytest.mark.parametrize("module, name", [("localize.py", "run_paths"),
+                                          ("localize.py", "terminal_gaussian"),
+                                          ("mc.py", "mixture_check")])
+def test_the_mixture_pipeline_forms_no_inverse(module, name):
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(function(module, name))
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert named.isdisjoint({"inv", "pinv", "solve", "B"})

@@ -40,13 +40,14 @@ def factor(B):
 
 
 def make_state(F, a, B, t=0.0):
-    return LocalizationState(t=t, a=np.asarray(a, dtype=complex), B=np.asarray(B, dtype=complex))
+    return LocalizationState(t=t, a=np.asarray(a, dtype=complex),
+                             L=factor(np.asarray(B, dtype=complex)))
 
 
 def sigma(F, st):
     """The step kernel's diffusion matrix Sigma = L (Id - Q Q^*) / sqrt(n)
     at one state, with Sigma Sigma^* = B^{-1/2} pi B^{-1/2} / n."""
-    L = factor(st.B)[..., None]
+    L = st.L[..., None]
     Q, fail, _ = _sigma_pieces(F, st.a[:, None], L)
     assert not fail[0]
     S = L - _mm(_mm(L, Q), np.conj(Q).swapaxes(0, 1))
@@ -57,7 +58,7 @@ def advance(F, st, h, dW):
     """The arrays (a, B) of one path, stacked over a leading axis, after
     one step of _advance from the state st with increment dW, B the
     inverse of L L^* for the new factor L; the path must advance."""
-    a, L, _, _, fail = _advance(F, st.a[:, None], factor(st.B)[..., None], dW[:, None], h)
+    a, L, _, _, fail = _advance(F, st.a[:, None], st.L[..., None], dW[:, None], h)
     assert not fail.any()
     L = np.moveaxis(L, -1, 0)
     return a.T, np.linalg.inv(L @ np.conj(L.swapaxes(1, 2)))
@@ -212,7 +213,7 @@ def test_step_keeps_b_monotone():
         inc = np.linalg.eigvalsh(B[0] - st.B)
         assert inc[0] >= -1e-12
         assert np.linalg.eigvalsh(B[0])[0] >= 1 - 1e-10
-        st = LocalizationState(t=st.t + h, a=a[0], B=B[0])
+        st = make_state(F, a[0], B[0], st.t + h)
     assert_state_invariants(st)
 
 
@@ -235,6 +236,7 @@ def test_step_matches_run_paths_bitwise(monkeypatch):
     assert np.array_equal(steps[-1][1], L)
     assert np.array_equal(res_max, out.fiber_residual_max)
     assert np.array_equal(post, out.record_post_residual[-1])
+    assert np.array_equal(out.L, np.moveaxis(L, -1, 0))
     # B is reported as the inverse of L L^* for the carried factor L
     L = np.moveaxis(L, -1, 0)
     assert np.linalg.norm(out.B @ L @ np.conj(L.swapaxes(1, 2)) - np.eye(3)) <= 1e-12
@@ -289,7 +291,7 @@ def test_one_path_is_row_0_of_a_batch():
     F = paraboloid_map(2)
     one = run_paths(F, T=0.5, h=2e-3, seed=19, n_paths=1)
     seven = run_paths(F, T=0.5, h=2e-3, seed=19, n_paths=7)
-    for field in ("a", "B", "fiber_residual_max"):
+    for field in ("a", "L", "B", "fiber_residual_max"):
         assert np.array_equal(getattr(one, field)[0], getattr(seven, field)[0])
     for field in RECORDS:
         assert np.array_equal(getattr(one, field)[:, 0], getattr(seven, field)[:, 0])
@@ -300,7 +302,7 @@ def test_one_path_is_row_0_of_a_batch():
 def test_a_row_steps_alone_as_in_a_stack(make):
     F = make()
     st = run_paths(F, T=0.2, h=2e-3, seed=3, n_paths=32)
-    args = [st.a.T, np.moveaxis(factor(st.B), 0, -1),
+    args = [st.a.T, np.moveaxis(st.L, 0, -1),
             np.array([increments(5, i, 2e-3, F.n, 1)[0] for i in range(32)]).T]
     stacked = _advance(F, *args, 2e-3)
     for i in range(32):
@@ -399,6 +401,11 @@ def test_rotated_affine_path_keeps_relative_accuracy(T):
     assert np.all(np.abs(out.record_lambda_k1 / b - 1) <= 1e-10)
     assert np.all(np.abs((out.record_trace - 1) / b - 1) <= 1e-10)
     assert np.all(np.abs(out.record_lambda_min - 1) <= 1e-10)
+    # the terminal covariance 2 B^{-1} keeps its eigenvalue 2 along the
+    # fiber; read through B it went negative at T = 80
+    mu = terminal_gaussian(out.state(np.arange(4)), k=1)
+    assert mu.support_dim.tolist() == [1] * 4
+    assert np.allclose(np.linalg.eigvalsh(mu.covariance)[:, -1], 2.0, rtol=1e-12, atol=0)
 
 
 def test_a_horizon_at_the_cap_stays_finite():
@@ -446,6 +453,7 @@ def test_path_determinism_bitwise():
     s1, d1 = run_path(F, T=0.5, h=2e-3, seed=12)
     s2, d2 = run_path(F, T=0.5, h=2e-3, seed=12)
     assert np.array_equal(s1.a, s2.a)
+    assert np.array_equal(s1.L, s2.L)
     assert np.array_equal(s1.B, s2.B)
     assert np.array_equal(d1, d2)
 
@@ -455,6 +463,7 @@ def test_path_in_batch_matches_solo_run():
     solo, _ = run_path(F, T=0.5, h=2e-3, seed=21)
     batch = run_paths(F, T=0.5, h=2e-3, seed=21, n_paths=3)
     assert np.array_equal(batch.a[0], solo.a)
+    assert np.array_equal(batch.L[0], solo.L)
     assert np.array_equal(batch.B[0], solo.B)
 
 
@@ -555,7 +564,7 @@ def test_terminal_gaussians_of_a_stack_are_its_rows(make):
 
 def stacked_state(diagonals, t):
     B = np.array([np.diag(d) for d in diagonals], dtype=complex)
-    return LocalizationState(t=t, a=np.zeros(B.shape[:2], dtype=complex), B=B)
+    return LocalizationState(t=t, a=np.zeros(B.shape[:2], dtype=complex), L=factor(B))
 
 
 def test_terminal_gaussians_truncate_and_check_every_row():

@@ -329,6 +329,31 @@ def test_taylor_coefficients_reproduce_the_map():
                        rtol=1e-12, atol=1e-12)
 
 
+def test_the_taylor_plan_has_one_row_per_exponent():
+    # a dense f of degree 10 in C^2: its 66 monomials give 1001 pairs
+    # (m, b) but 66 exponents m - b, and the plan keeps one row for each
+    exps = [[i, j] for i in range(11) for j in range(11 - i)]
+    c = np.random.default_rng(3).standard_normal(len(exps))
+    c[0] = -c[1:].sum()
+    F = PolynomialMap(2, 1, [list(zip(c, exps))], [1.0, 1.0])
+    plan, deg, weight = F._taylor
+    assert plan[0].shape[1] == len({tuple(col) for col in plan[0].T}) == 66
+    # against the unmerged plan the rows are summed in another order
+    betas = np.array(sorted({b for m in F._exps for b in np.ndindex(*(m + 1))},
+                            key=lambda b: (sum(b), b)))
+    unmerged = polymap._taylor_plan(F._exps, F._coeffs, betas)
+    z = np.random.default_rng(6).standard_normal((5000, 2)) * (0.5 + 0.3j)
+    a, ref = (polymap._eval_plan(F, z, p) for p in (plan, unmerged))
+    assert np.all(np.abs(a - ref) <= 1e-14 * np.abs(ref).max(axis=1, keepdims=True))
+    rho = fiber_lower_bound(F, z)
+    vars(F)["_taylor"] = unmerged, deg, weight
+    # where that moves the bisection's polynomial across its root at a
+    # midpoint, rho moves by one step, 2^-_BISECTIONS of its bracket,
+    # which is below 2 rho on this map
+    np.testing.assert_allclose(rho, fiber_lower_bound(F, z),
+                               rtol=2.0 ** (1 - polymap._BISECTIONS), atol=0)
+
+
 def test_fiber_lower_bound_is_exact_where_the_bound_is_attained():
     # the hyperbola's distance sqrt(2) from the origin and the distance
     # |z_1 - 0.7| to a hyperplane are the roots of their bounds; each comes
