@@ -6,6 +6,10 @@ time series and JSON for tables, plus gnuplot-ready column files. Every
 output records the seed and a hash of the resolved config. Identical
 (config, seed) pairs produce byte-identical outputs.
 
+A config is checked against the Draft 7 schema CONFIG_SCHEMA by _conforms,
+which implements only the keywords the schema uses. jsonschema is imported
+only to explain a refused config, so a valid run never loads it.
+
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 3 invariant or inequality-verdict violation.
 """
@@ -16,10 +20,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import gaussgeom, localize, mc, polymap
@@ -80,8 +84,9 @@ _FUNCTIONAL = {"anyOf": [
         ["u", "M"], u=_VECTOR, M={"type": "number", "exclusiveMinimum": 0})),
 ]}
 
-# Draft 7 has every keyword used here. The schema is a constant: the test
-# suite checks it against its meta-schema, so no run pays for that check
+# Draft 7 has every keyword used here, and _conforms implements each. The
+# schema is a constant: the test suite checks it against its meta-schema,
+# and _conforms against jsonschema, so no run pays for either check
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -106,7 +111,37 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: _TYPES["number"](x) and (isinstance(x, int) or x.is_integer()),
+}
+
+
+def _conforms(x, schema: dict) -> bool:
+    """Whether x is valid under schema, for the Draft 7 keywords CONFIG_SCHEMA
+    uses. As in jsonschema, a bool is no number, an integral float is an
+    integer, enum compares type and value, and a NaN breaks no bound."""
+    if "anyOf" in schema and not any(_conforms(x, s) for s in schema["anyOf"]):
+        return False
+    if "enum" in schema and not any(isinstance(x, bool) is isinstance(e, bool) and x == e
+                                    for e in schema["enum"]):
+        return False
+    if "type" in schema and not _TYPES[schema["type"]](x):
+        return False
+    if isinstance(x, dict):
+        props = schema.get("properties", {})
+        return (all(k in x for k in schema.get("required", ()))
+                and (schema.get("additionalProperties", True) or x.keys() <= props.keys())
+                and all(_conforms(v, props[k]) for k, v in x.items() if k in props))
+    if isinstance(x, list):
+        return (schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", math.inf)
+                and all(_conforms(v, schema.get("items", {})) for v in x))
+    if _TYPES["number"](x):
+        return not (x < schema.get("minimum", -math.inf) or x > schema.get("maximum", math.inf)
+                    or "exclusiveMinimum" in schema and x <= schema["exclusiveMinimum"])
+    return True
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -127,8 +162,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if isinstance(cfg, dict):
         cfg.update({k: v for k, v in overrides.items() if v is not None})
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
-    if error is not None:
+    if not _conforms(cfg, CONFIG_SCHEMA):
+        from jsonschema import Draft7Validator, exceptions
+        error = exceptions.best_match(Draft7Validator(CONFIG_SCHEMA).iter_errors(cfg))
         raise ValidationError(
             f"config schema violation at {error.json_path}: {error.message}"
         ) from error

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -229,6 +230,15 @@ def _tilted_disc_mass(b: np.ndarray, v: np.ndarray, R: float, rule) -> float:
     return float(np.sum(ws * integrand))
 
 
+@cache
+def _legendre_rule(m: int) -> tuple:
+    """The m-node Gauss-Legendre rule (nodes, weights) on [-1, 1], built
+    once per process and read-only, since every tilt check shares it."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class TiltCheck:
     lhs: float
@@ -259,7 +269,7 @@ def tilt_inequality_check(B: np.ndarray, v: np.ndarray, R: float) -> TiltCheck:
     if w[0] < 1 - 1e-10:
         raise DomainError("precision matrix must dominate the identity")
     vt = U.conj().T @ v
-    rule = np.polynomial.legendre.leggauss(400 if k == 1 else 200)
+    rule = _legendre_rule(400 if k == 1 else 200)
     lhs = _tilted_disc_mass(w, vt, R, rule)
     total = math.exp(float(np.sum(np.abs(vt) ** 2 / (2 * w))))
     gk = math.exp(-float(np.linalg.norm(v) ** 2) / 2) * _tilted_disc_mass(

@@ -33,6 +33,7 @@ one re-keyed Philox.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -280,9 +281,9 @@ class BatchResult:
     def n_aborted(self) -> int:
         return int(np.sum(self.aborted))
 
-    @property
+    @cached_property
     def B(self) -> np.ndarray:
-        """(P, n, n), formed on read: see LocalizationState.B."""
+        """(P, n, n), formed on first read: see LocalizationState.B."""
         return self.state(slice(None)).B
 
     def state(self, i: int | np.ndarray) -> LocalizationState:

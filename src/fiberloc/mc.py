@@ -274,7 +274,8 @@ def mixture_check(F: PolynomialMap, T: float, h: float, n_paths: int,
     reproduces standard-Gaussian expectations of the test functionals.
 
     Each path contributes its exact closed-form expectation; the report
-    compares the mixture mean against the reference with a z-score. The
+    compares the mixture mean against the reference with a z-score, taken
+    against a spread of at least the values' rounding, 16 eps relative. The
     report is marked invalid if more than 1% of paths abort.
     """
     if n_paths < 2:
@@ -289,7 +290,8 @@ def mixture_check(F: PolynomialMap, T: float, h: float, n_paths: int,
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(len(vals)))
         ref = gaussian_expectation(ref_mu, phi)
-        z = 0.0 if stderr == 0 else (mean - ref) / stderr
+        scale = max(stderr, 16 * np.finfo(float).eps * max(abs(mean), abs(ref)))
+        z = 0.0 if mean == ref else (mean - ref) / scale
         rows.append(MixtureRow(functional=getattr(phi, "label", repr(phi)),
                                mixture_mean=mean, reference=ref,
                                stderr=stderr, z_score=z))

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import random
 import warnings
 
 import jsonschema
@@ -190,6 +192,96 @@ def test_schema_error_names_the_best_match(tmp_path, cfg):
         cli.load_config(write_config(tmp_path, cfg), {})
     assert str(got.value) == (f"config schema violation at {expected.value.json_path}: "
                               f"{expected.value.message}")
+
+
+# The Draft 7 keywords that cli._conforms implements
+CONFORMS_KEYWORDS = {"type", "required", "properties", "additionalProperties", "items",
+                     "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
+                     "enum", "anyOf"}
+
+
+def schema_keywords(schema):
+    """Every (keyword, value) pair of a schema and of its subschemas."""
+    for key, value in schema.items():
+        yield key, value
+        subs = {"properties": lambda: value.values(), "items": lambda: [value],
+                "anyOf": lambda: value}.get(key, list)()
+        for sub in subs:
+            yield from schema_keywords(sub)
+
+
+def test_the_keyword_walk_sees_a_nested_keyword():
+    schema = {"anyOf": [{"items": {"pattern": "x"}}], "properties": {"items": {"format": "y"}}}
+    assert {k for k, _ in schema_keywords(schema)} == {"anyOf", "items", "pattern",
+                                                       "properties", "format"}
+
+
+def test_conforms_implements_every_keyword_of_the_schema():
+    pairs = list(schema_keywords(cli.CONFIG_SCHEMA))
+    assert {k for k, _ in pairs} - {"$schema"} <= CONFORMS_KEYWORDS
+    assert {v for k, v in pairs if k == "type"} <= set(cli._TYPES)
+    assert {v for k, v in pairs if k == "additionalProperties"} <= {False}
+
+
+# Base configs that hold every CONFIG_SCHEMA key and every functional kind
+SCHEMA_BASES = [
+    {"map": HYPERBOLA, "seed": 3, "T": 1.5, "h": 2e-3, "n_paths": 8, "N": 100,
+     "r_grid": [0.5, 1.0, 2], "weights": [1.0, 2.0], "rank_tol": 1e-12, "distance": 0,
+     "record_every": 5, "functionals": ["one", "sq_norm", {"half_space": {}},
+                                        {"half_space": {"u": [[1, 0], [0, 0]], "c": -0.5}},
+                                        {"bounded_exp": {"u": [[0, 1], [1, 0]], "M": 2}}],
+     "n_instances": 2, "k": 1, "n": 2, "d_grid": [0.0, 1.5]},
+    {"map": {**PARABOLOID, "k": 1.0}, "seed": 2**64 - 1, "T": 1, "h": 0.5, "N": 1.0,
+     "r_grid": [], "functionals": [{"bounded_exp": {"u": [], "M": 1e-300}}]},
+]
+MUTATION_ATOMS = [float("nan"), float("inf"), -float("inf"), True, False, 1.0, 1.5, 2**64,
+                  2**64 - 1, 0, -1, 0.0, -0.0, 1e-300, "one", "sq_norm", "x", None, [], {},
+                  [1.0, 0.0], [[0.0, 0.0]], {"half_space": {}}, {"u": []}]
+
+
+def schema_nodes(x):
+    """(container, key) for every node below x."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in list(items):
+        yield x, key
+        yield from schema_nodes(value)
+
+
+def mutant(rng):
+    """A base config with one to three nodes replaced by an atom, wrapped in
+    or unwrapped from a list, dropped, duplicated, or given a stray key."""
+    holder = [copy.deepcopy(rng.choice(SCHEMA_BASES))]
+    for _ in range(rng.randint(1, 3)):
+        box, key = rng.choice(list(schema_nodes(holder)))
+        value, op = box[key], rng.randrange(6)
+        if op == 0:
+            box[key] = copy.deepcopy(rng.choice(MUTATION_ATOMS))
+        elif op == 1:
+            box[key] = [value]
+        elif op == 2 and isinstance(value, (dict, list)) and value:
+            box[key] = rng.choice(list(value.values() if isinstance(value, dict) else value))
+        elif op == 3 and box is not holder:
+            del box[key]
+        elif op == 4 and isinstance(value, list) and value:
+            value.append(copy.deepcopy(value[-1]))
+        elif op == 5 and isinstance(value, dict):
+            value[rng.choice(["bogus", "u", "c", "M", "seed", "exps", "half_space"])] = \
+                copy.deepcopy(rng.choice(MUTATION_ATOMS))
+    return holder[0]
+
+
+def test_conforms_agrees_with_jsonschema_on_mutated_configs():
+    rng = random.Random(26)
+    validator = jsonschema.Draft7Validator(cli.CONFIG_SCHEMA)
+    verdicts, disagree = [], []
+    for _ in range(6000):
+        cfg = mutant(rng)
+        ours = cli._conforms(cfg, cli.CONFIG_SCHEMA)
+        verdicts.append(ours)
+        if ours != validator.is_valid(cfg):
+            disagree.append(cfg)
+    assert disagree == []
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
 def test_config_hash_is_canonical():
@@ -436,6 +528,23 @@ def test_mixture_holds_at_a_long_horizon(tmp_path, m):
     text = (tmp_path / "mixture_report.json").read_text()
     assert rc == 0
     assert "NaN" not in text and json.loads(text)["valid"] is True
+
+
+@pytest.mark.parametrize("n, T, h, n_paths", [(2, 5.0, 0.1, 200), (2, 20.0, 0.2, 200),
+                                               (3, 5.0, 0.1, 20)])
+def test_mixture_holds_on_a_rounding_level_spread(tmp_path, n, T, h, n_paths):
+    # on f = z_1 every path gives the half-space mass Phi(-0.5) up to
+    # rounding: a stderr of about 4e-18 made a z of -127 from a difference
+    # of 5e-16 and failed an exact identity
+    F = {"n": n, "k": 1, "components": [[{"coeff": [1.0, 0.0], "exps": [1] + [0] * (n - 1)}]],
+         "base_point": [[0.0, 0.0]] * n}
+    cfg = {"map": F, "seed": 6, "T": T, "h": h, "n_paths": n_paths,
+           "functionals": [{"half_space": {"c": 0.5}}]}
+    rc = cli.main(["mixture", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+    row, = json.loads((tmp_path / "mixture_report.json").read_text())["rows"]
+    assert row["stderr"] < 1e-16 and row["mixture_mean"] != row["reference"]
+    assert rc == 0 and abs(row["z_score"]) <= 3
 
 
 def test_mixture_bounded_exp_past_the_exponent_range(tmp_path):

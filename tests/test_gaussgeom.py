@@ -19,6 +19,7 @@ from fiberloc import (
     standard_gaussian,
     tilt_inequality_check,
 )
+from fiberloc.gaussgeom import _legendre_rule
 
 
 def disc_oracle_polar(rho, R, radial=400, angular=1024):
@@ -317,6 +318,14 @@ def test_tilt_holds_on_random_instances_k2():
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         chk = tilt_inequality_check(B, v / 2, rng.uniform(0.3, 1.5))
         assert chk.holds
+
+
+def test_the_legendre_rule_is_built_once_and_read_only():
+    x, w = _legendre_rule(400)
+    assert _legendre_rule(400) is _legendre_rule(400)
+    assert np.array_equal(x, np.polynomial.legendre.leggauss(400)[0])
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_tilt_no_tilt_reduces_to_disc_measure():

@@ -1,9 +1,11 @@
 """Every module-level import in the package modules and the test files is
-used, the command line loads no SciPy, the step kernels of the path
+used, the command line's set-up loads neither SciPy nor jsonschema, the
+step kernels of the path
 engine, the closest-point solver and the distance bound call no LAPACK
 wrapper, and the mixture pipeline forms no B."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -44,13 +46,24 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_the_command_line_loads_no_scipy():
-    # importing scipy.special would add 0.22-0.35 s to a start-up that takes
-    # about 0.36 s without it (2-core x86 VM)
-    code = ("import sys, fiberloc.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+def test_the_command_line_loads_no_scipy(tmp_path):
+    # The set-up of every invocation (bench/setup_probe.py): load a valid
+    # config and build its map. Importing scipy.special would add 0.22-0.35 s
+    # to it, and jsonschema, needed only to explain a refused config, about
+    # 60 ms to the 0.22 s it took with it (2-core x86 VM)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"map": {
+        "n": 2, "k": 1, "base_point": [[0.0, 0.0], [0.0, 0.0]],
+        "components": [[{"coeff": [1.0, 0.0], "exps": [0, 1]},
+                        {"coeff": [-1.0, 0.0], "exps": [2, 0]}]]},
+        "seed": 1, "T": 0.1, "h": 2e-3, "n_paths": 10, "functionals": ["one", "sq_norm"]}))
+    code = ("import sys; from fiberloc import cli, polymap; "
+            "polymap.PolynomialMap.from_json(cli.load_config(sys.argv[1], {})['map']); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'jsonschema')))")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg)], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
 
 

@@ -467,6 +467,13 @@ def test_path_in_batch_matches_solo_run():
     assert np.array_equal(batch.B[0], solo.B)
 
 
+def test_batch_b_is_formed_once():
+    # B is formed from every path's factor on first read, then kept
+    out = run_paths(paraboloid_map(2), T=0.1, h=1e-2, seed=3, n_paths=4)
+    assert out.B is out.B
+    assert np.array_equal(out.B[2], out.state(2).B)
+
+
 def test_path_residuals_controlled():
     F = paraboloid_map(2)
     h = 2e-3

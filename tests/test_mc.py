@@ -317,6 +317,21 @@ def test_mixture_constant_functional_is_exact():
     assert row.reference == 1.0
 
 
+@pytest.mark.parametrize("offset, expect_far", [(1e-9, True), (4 * np.finfo(float).eps, False)],
+                         ids=["real-offset", "rounding-offset"])
+def test_mixture_z_score_of_a_functional_with_no_spread(monkeypatch, offset, expect_far):
+    # every path gives the same value, so stderr is exactly 0: the offset of
+    # the mean is measured against the values' rounding, 16 eps relative
+    def expectation(mu, phi):
+        return 1.0 if mu.center.ndim == 1 else np.full(len(mu.center), 1 + offset)
+
+    monkeypatch.setattr(mc, "gaussian_expectation", expectation)
+    row, = mixture_check(affine_map(2), T=0.1, h=1e-2, n_paths=4, functionals=[One()],
+                         seed=0).rows
+    assert row.stderr == 0.0 and row.mixture_mean != row.reference
+    assert bool(abs(row.z_score) > 3) == expect_far
+
+
 def test_mixture_half_space_affine():
     # the fiber {z_1 = 0} is symmetric in z_2, so the mixture mass of
     # {Re z_2 > 0} stays 1/2
