@@ -204,8 +204,8 @@ def schema_keywords(schema):
     """Every (keyword, value) pair of a schema and of its subschemas."""
     for key, value in schema.items():
         yield key, value
-        subs = {"properties": lambda: value.values(), "items": lambda: [value],
-                "anyOf": lambda: value}.get(key, list)()
+        subs = (value.values() if key == "properties" else [value] if key == "items"
+                else value if key == "anyOf" else [])
         for sub in subs:
             yield from schema_keywords(sub)
 
