@@ -1,9 +1,11 @@
 """Dense complex Hermitian linear algebra on small matrices (n <= 16 or so).
 
 hermitianize and check_hermitian take the matrix axes last. The private
-kernels, shared by the path engine and the closest-point solver, take
-P-last stacks (r, c, P), the stack index last, so that each NumPy call acts
-on the whole stack. stacked_sqrt_pair is kept only for the benchmark.
+kernels take P-last stacks (r, c, P), the stack index last, so that each
+NumPy call acts on the whole stack: products (_mm, _gram), Hermitian
+eigenpairs (_jacobi_eigh), the orthogonal columns of A G (_one_sided_jacobi),
+complete QR (_householder_qr) and the Cholesky update (_cholesky_update).
+stacked_sqrt_pair is kept only for the benchmark.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def stacked_sqrt_pair(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Small-matrix kernels over P-last stacks. They skip validation, and each
 # matrix product is an explicit sum over the small axes.
 
-# The Jacobi sweeps of _jacobi_eigh; a sweep in which no row rotates ends it
+# The sweeps of either Jacobi kernel; a sweep in which no row rotates ends it
 _JACOBI_SWEEPS = 30
 _EPS = np.finfo(float).eps
 
@@ -85,15 +87,31 @@ def _gram(X: np.ndarray) -> np.ndarray:
     return G
 
 
+def _rotate(Ms, p, q, app, aqq, apq, live):
+    """Rotate columns p and q of each stack M in Ms by G = [[c, se],
+    [-conj(se), c]], e the phase of apq, which zeroes the pair's Gram entry
+    apq (diagonal app, aqq) where live holds and is exactly the identity
+    elsewhere, so that a row gives the same bits alone as in a stack. Its
+    tangent t = 2 |apq| / (|d| + hypot(d, 2 |apq|)), d = aqq - app, is at
+    most 1 and cannot overflow. Returns (t, |apq|), zero where live fails."""
+    g = np.where(live, np.abs(apq), 0.0)
+    dd = np.where(live, aqq - app, 0.0)
+    t = np.copysign(2 * g, dd) / np.where(live, np.abs(dd) + np.hypot(dd, 2 * g), 1.0)
+    c = 1 / np.sqrt(1 + t * t)
+    se = (t * c) * (apq / np.where(live, g, 1.0))
+    for M in Ms:
+        Mp = M[:, p].copy()
+        M[:, p] = c * Mp - np.conj(se) * M[:, q]
+        M[:, q] = se * Mp + c * M[:, q]
+    return t, g
+
+
 def _jacobi_eigh(A: np.ndarray):
     """Eigenvalues (d, P), ascending, and orthonormal eigenvectors (d, d, P),
     as columns, of a stack A (d, d, P) of Hermitian matrices; cyclic Jacobi.
 
-    The rotation of a pair (p, q) zeroes A_pq in the rows where |A_pq|
-    exceeds eps (|A_pp| + |A_qq|) and is exactly the identity in the
-    others, so that a row gives the same bits alone as in a stack; its
-    tangent, 2 |A_pq| / (|d| + hypot(d, 2 |A_pq|)) with d = A_qq - A_pp,
-    is at most 1 and cannot overflow. Only the real part of the diagonal
+    The rotation of a pair (p, q) (_rotate) zeroes A_pq in the rows where
+    |A_pq| exceeds eps (|A_pp| + |A_qq|). Only the real part of the diagonal
     is read. At d = 1 there is no pair, and the eigenvalue is that real
     part, with eigenvector 1. The sweeps end once no row rotates: at d = 2
     the second sweep finds every A_pq zero. A is overwritten.
@@ -109,22 +127,11 @@ def _jacobi_eigh(A: np.ndarray):
         for p in range(d):
             for q in range(p + 1, d):
                 app, aqq, apq = A[p, p].real.copy(), A[q, q].real.copy(), A[p, q].copy()
-                g = np.abs(apq)
-                live = g > _EPS * (np.abs(app) + np.abs(aqq))
+                live = np.abs(apq) > _EPS * (np.abs(app) + np.abs(aqq))
                 if not live.any():
                     continue
                 rotated = True
-                g = np.where(live, g, 0.0)
-                dd = np.where(live, aqq - app, 0.0)
-                den = np.abs(dd) + np.hypot(dd, 2 * g)
-                t = np.copysign(2 * g, dd) / np.where(live, den, 1.0)
-                c = 1 / np.sqrt(1 + t * t)
-                # s e, with e the phase of A_pq: G = [[c, se], [-conj(se), c]]
-                se = (t * c) * (apq / np.where(live, g, 1.0))
-                for M in (A, V):
-                    Mp = M[:, p].copy()
-                    M[:, p] = c * Mp - np.conj(se) * M[:, q]
-                    M[:, q] = se * Mp + c * M[:, q]
+                t, g = _rotate((A, V), p, q, app, aqq, apq, live)
                 # rows p and q of G^* (A G), by Hermitian symmetry
                 A[p], A[q] = np.conj(A[:, p]), np.conj(A[:, q])
                 A[p, p], A[q, q] = app - t * g, aqq + t * g
@@ -142,6 +149,35 @@ def _jacobi_eigh(A: np.ndarray):
             V[:, j], V[:, j + 1] = (np.where(swap, V[:, j + 1], V[:, j]),
                                     np.where(swap, V[:, j], V[:, j + 1]))
     return lam, V
+
+
+def _one_sided_jacobi(A: np.ndarray):
+    """X = A G (G unitary) with orthogonal columns, and their squared
+    norms (d, P), of a stack A (d, d, P); one-sided (Hestenes) Jacobi.
+
+    X X^* = A A^*, so the squared norms are the eigenvalues of A A^*. A
+    pair (p, q) of columns is rotated (_rotate, on its Gram entries) in
+    the rows where |x_p^* x_q| exceeds eps |x_p| |x_q|. This relative stop
+    rule keeps the small norms of a matrix with graded columns to relative
+    accuracy (Demmel & Veselic 1992). A is not overwritten.
+    """
+    def sq(x):  # |x|^2 summed over the rows, one row after the other
+        return sum(row.real ** 2 + row.imag ** 2 for row in x)
+
+    d, X = A.shape[0], np.array(A, dtype=complex)
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(d):
+            for q in range(p + 1, d):
+                app, aqq = sq(X[:, p]), sq(X[:, q])
+                apq = _mm(np.conj(X[:, p])[None], X[:, q])[0]
+                live = np.abs(apq) > _EPS * np.sqrt(app) * np.sqrt(aqq)
+                if live.any():
+                    rotated = True
+                    _rotate((X,), p, q, app, aqq, apq, live)
+        if not rotated:
+            break
+    return X, sq(X)
 
 
 def _householder_qr(A: np.ndarray):

@@ -19,7 +19,7 @@ and updates it by rank k (see _advance). The update never shrinks a pivot,
 so L stays the factor of a definite matrix whatever the rounding. Sigma is
 L (Id - Q Q^*) / sqrt(n), Q an orthonormal basis of the range of L^* J^*
 (see _sigma_pieces). The state leaves the engine as L: the records and
-terminal_gaussian read B from the SVD of L, and B is formed only on read.
+terminal_gaussian read it by _one_sided_jacobi, and B is formed only on read.
 
 One kernel (_advance) performs the projected Euler-Maruyama step for a
 stack of paths held P-last, as the linalg kernels hold them. The batched
@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PathAbort, StateError, ValidationError
-from .linalg import _cholesky_update, _gram, _jacobi_eigh, _mm, hermitianize
+from .linalg import _cholesky_update, _gram, _jacobi_eigh, _mm, _one_sided_jacobi, hermitianize
 from .polymap import (RANK_TOL, PolynomialMap, eval_jacobian, project_batch,
                       residual_norm)
 
@@ -135,23 +135,25 @@ def terminal_gaussian(state: LocalizationState, rank_tol: float = DEFAULT_RANK_T
                       k: int | None = None) -> ComplexGaussian:
     """The rank-truncated Gaussian N(a_t, 2 B_t^{-1}) of one path or a stack of them.
 
-    The covariance 2 L L^* is U diag(2 s^2) U^* for the SVD L = U diag(s) W^*,
-    s descending. Eigenvalues below rank_tol are zeroed; support_dim counts the
+    The covariance 2 L L^* is 2 sum_i x_i x_i^* over the orthogonal columns
+    x_i of X = L G from _one_sided_jacobi, and its eigenvalues are 2 |x_i|^2.
+    Columns with 2 |x_i|^2 below rank_tol are dropped; support_dim counts the
     survivors. When the codimension k of the fiber is supplied, the decay
     bound lambda_{n-k}(2 B_t^{-1}) <= 2 n (k+1) / t is asserted on every path.
     """
-    U, s, _ = np.linalg.svd(state.L)
-    w = 2 * s * s
-    n = w.shape[-1]
+    L, n = state.L, state.L.shape[-1]
+    X, x2 = _one_sided_jacobi(np.moveaxis(L.reshape(-1, n, n), 0, -1))
+    w = 2 * x2
     if k is not None and 0 < k < n and state.t > 0:
         bound = 2 * n * (k + 1) / state.t
-        worst = np.max(w[..., k])
+        worst = np.max(np.sort(w, axis=0)[::-1][k])
         if worst > bound * (1 + 1e-9):
             raise StateError(f"covariance decay bound violated: {worst:.3e} > {bound:.3e}")
     keep = w >= rank_tol
-    cov = (U * np.where(keep, w, 0.0)[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
-    dim = np.sum(keep, axis=-1)
-    return ComplexGaussian(state.a.copy(), cov, dim if dim.ndim else int(dim))
+    cov = _mm(X * np.where(keep, 2.0, 0.0)[None], np.conj(X).swapaxes(0, 1))
+    dim = np.sum(keep, axis=0).reshape(L.shape[:-2])
+    return ComplexGaussian(state.a.copy(), np.moveaxis(cov, -1, 0).reshape(L.shape),
+                           dim if dim.ndim else int(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +352,9 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
         a_new, L_new, pre, post, fail = _advance(F, a[:, act], L[..., act], dW[:, act], h)
         if fail.any():
             rows = np.arange(P)[act]
-            for i, c in zip(rows[fail > 0], fail[fail > 0]):
+            for i, code in zip(rows[fail > 0], fail[fail > 0]):
                 aborted[i] = True
-                reasons[i] = {"t": j * h, "reason": _ABORT_REASONS[c]}
+                reasons[i] = {"t": j * h, "reason": _ABORT_REASONS[code]}
             act = rows[fail == 0]
         if isinstance(act, slice):  # no path has aborted: the new arrays are the state
             a, L = a_new, L_new
@@ -362,11 +364,11 @@ def run_paths(F: PolynomialMap, T: float, h: float, seed: int, n_paths: int,
         last_pre[act], last_post[act] = pre, post
 
         if (j + 1) % record_every == 0 or j == n_steps - 1:
-            # the eigenvalues of B, ascending: 1 / sigma^2 over the singular
-            # values sigma of L, descending, which keep relative accuracy
-            w = np.linalg.svd(L.transpose(2, 0, 1), compute_uv=False) ** -2
+            # the eigenvalues of B, ascending: 1 / |x_i|^2 over the columns
+            # x_i of L G (_one_sided_jacobi), which keep relative accuracy
+            w = np.sort(1 / _one_sided_jacobi(L)[1], axis=0)
             rec_t[r] = (j + 1) * h
-            rec[:, r] = last_pre, last_post, w[:, 0], w[:, min(k, n - 1)], np.sum(w, axis=1)
+            rec[:, r] = last_pre, last_post, w[0], w[min(k, n - 1)], np.sum(w, axis=0)
             r += 1
 
     return BatchResult(n_steps * h, a.T.copy(), L.transpose(2, 0, 1).copy(),

@@ -270,46 +270,47 @@ def project_batch(F: PolynomialMap, z: np.ndarray, max_iter: int = 50):
     J^* V diag(1/lam) V^* f(z). A point whose Jacobian has sigma_min below
     RANK_TOL (lam_min below RANK_TOL^2) stops as singular; a point whose
     residual is not finite stops at once, neither converged nor singular.
-    The points still iterating form a compacted working set, held with P
-    last, from which each point is written back when it stops.
+    Points and f values are held P-last, (n, P) and (k, P), in one copy of
+    z^T; the points returned are its transpose, a view. The points still
+    iterating form a compacted working set, written back as each stops.
     Returns (points, residuals, converged, singular, start_residuals) where
     the two masks flag per-point failure modes and start_residuals holds
     |f(z)| at the given points.
     """
-    pts = np.array(z, dtype=complex, copy=True)
-    fv = eval_map(F, pts)
-    res = np.linalg.norm(fv, axis=1)
+    pts = np.array(np.asarray(z, dtype=complex).T, order="C")
+    fv = eval_map(F, pts.T).T
+    res = np.sqrt(np.add.reduce((fv.conj() * fv).real))
     start = res.copy()
-    singular = np.zeros(pts.shape[0], dtype=bool)
-    # the working set: row indices, points (n, P) and f values (k, P)
+    singular = np.zeros(pts.shape[1], dtype=bool)
+    # the working set: column indices, points (n, P) and f values (k, P)
     act = np.nonzero(~(res <= FIBER_TOL) & np.isfinite(res))[0]
-    zt, ft = pts[act].T.copy(), fv[act].T
+    zt, ft = pts.take(act, axis=1), fv.take(act, axis=1)
     del fv
     for _ in range(max_iter):
         if act.size == 0:
             break
         Jh = np.conj(eval_jacobian(F, zt.T).transpose(2, 1, 0), order="C")
         lam, V = _jacobi_eigh(_gram(Jh))
-        # rows leave the working set by integer index: a boolean mask
+        # columns leave the working set by integer index: a boolean mask
         # indexes a stack several times slower than take
         bad = lam[0] < RANK_TOL**2
         if bad.any():
             out, keep = np.flatnonzero(bad), np.flatnonzero(~bad)
             singular[act[out]] = True
-            pts[act[out]] = zt[:, out].T
+            pts[:, act[out]] = zt[:, out]
             act, zt, ft, Jh, lam, V = (a.take(keep, axis=-1) for a in (act, zt, ft, Jh, lam, V))
         zt = zt - _mm(Jh, _mm(V, _mm(np.conj(V).swapaxes(0, 1), ft) / lam))
         ft = eval_map(F, zt.T).T
-        r = np.linalg.norm(ft, axis=0)
+        r = np.sqrt(np.add.reduce((ft.conj() * ft).real))
         res[act] = r
         stop = (r <= FIBER_TOL) | ~np.isfinite(r)
         if stop.any():
             out, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
-            pts[act[out]] = zt[:, out].T
+            pts[:, act[out]] = zt[:, out]
             act, zt, ft = (a.take(keep, axis=-1) for a in (act, zt, ft))
-    pts[act] = zt.T
+    pts[:, act] = zt
     converged = (res <= FIBER_TOL) & ~singular
-    return pts, res, converged, singular, start
+    return pts.T, res, converged, singular, start
 
 
 # ---------------------------------------------------------------------------

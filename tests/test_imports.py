@@ -73,8 +73,8 @@ def test_the_command_line_loads_no_scipy(tmp_path):
 STEP_KERNELS = {"localize.py": ("_sigma_pieces", "_advance"),
                 "polymap.py": ("project_batch", "_newton_step", "minimize_fiber_distance",
                                "fiber_lower_bound"),
-                "linalg.py": ("_mm", "_gram", "_jacobi_eigh", "_householder_qr",
-                              "_cholesky_update")}
+                "linalg.py": ("_mm", "_gram", "_jacobi_eigh", "_one_sided_jacobi",
+                              "_householder_qr", "_cholesky_update")}
 LAPACK = {"inv", "solve", "cholesky", "eigh", "eigvalsh", "qr", "svd", "det", "slogdet",
           "lstsq", "dot", "matmul"}
 
@@ -110,9 +110,10 @@ def test_step_kernels_call_no_lapack_wrapper(module, name):
 
 
 # The path state leaves the engine as the factor L of B^{-1}, and the
-# terminal Gaussians come from its SVD: B formed by an inverse loses the
-# covariance's eigenvalues near 1 once B is large, so no pipeline from the
-# engine to the mixture check forms it or reads it
+# records and the terminal Gaussians read it through linalg's one-sided
+# Jacobi kernel: B formed by an inverse loses the covariance's eigenvalues
+# near 1 once B is large, so no pipeline from the engine to the mixture
+# check forms it or reads it
 @pytest.mark.parametrize("module, name", [("localize.py", "run_paths"),
                                           ("localize.py", "terminal_gaussian"),
                                           ("mc.py", "mixture_check")])
@@ -121,3 +122,10 @@ def test_the_mixture_pipeline_forms_no_inverse(module, name):
              for node in ast.walk(function(module, name))
              if isinstance(node, (ast.Name, ast.Attribute))}
     assert named.isdisjoint({"inv", "pinv", "solve", "B"})
+
+
+# LAPACK reads the small singular values of a graded L only to an absolute
+# error; the kernel's relative stop rule keeps them to relative accuracy
+@pytest.mark.parametrize("name", ["run_paths", "terminal_gaussian"])
+def test_the_path_factor_is_read_by_no_lapack_wrapper(name):
+    assert lapack_calls(function("localize.py", name)) == []

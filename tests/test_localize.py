@@ -287,6 +287,35 @@ def test_every_group_and_block_reads_its_own_stream(monkeypatch, n_steps):
         assert np.array_equal(fed[..., i], increments(seed, i, h, F.n, n_steps))
 
 
+def test_an_abort_keeps_the_refill_group_size(monkeypatch):
+    # a run of three blocks draws one path at a time in every refill, also
+    # after a path stopped on a projection failure: the abort's code must
+    # not become the group size
+    F = paraboloid_map(2)
+    h, n_steps = 1e-3, 2 * _RNG_BLOCK + 10
+    sizes, steps = [], []
+
+    def refill(*args):
+        sizes.append(args[-1])
+        return _refill(*args)
+
+    def fail_row_0_once(F, a, L, dW, h):
+        fail = np.zeros(dW.shape[1], dtype=int)
+        if not steps:
+            fail[0] = localize._PROJECTION
+        steps.append(fail)
+        kept = fail == 0
+        zero = np.zeros(np.count_nonzero(kept))
+        return a[:, kept], L[..., kept], zero, zero, fail
+
+    monkeypatch.setattr(localize, "_refill", refill)
+    monkeypatch.setattr(localize, "_advance", fail_row_0_once)
+    out = run_paths(F, T=n_steps * h, h=h, seed=5, n_paths=3)
+    assert len(steps) == n_steps and out.aborted.tolist() == [True, False, False]
+    assert out.abort_reasons[0] == {"t": 0.0, "reason": "projection failure"}
+    assert sizes == [1, 1, 1]
+
+
 def test_one_path_is_row_0_of_a_batch():
     F = paraboloid_map(2)
     one = run_paths(F, T=0.5, h=2e-3, seed=19, n_paths=1)
