@@ -124,8 +124,9 @@ def test_the_mixture_pipeline_forms_no_inverse(module, name):
     assert named.isdisjoint({"inv", "pinv", "solve", "B"})
 
 
-# LAPACK reads the small singular values of a graded L only to an absolute
-# error; the kernel's relative stop rule keeps them to relative accuracy
+# LAPACK's svd bounds the error of L's small singular values only relative
+# to the largest; the kernel's relative stop rule keeps those of a graded L
+# to relative accuracy
 @pytest.mark.parametrize("name", ["run_paths", "terminal_gaussian"])
 def test_the_path_factor_is_read_by_no_lapack_wrapper(name):
     assert lapack_calls(function("localize.py", name)) == []
